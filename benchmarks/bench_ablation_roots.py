@@ -11,8 +11,9 @@ same batches of difference polynomials:
   stacked ``np.linalg.eigvals`` sweep — the stage the
   ``solver.eigensolve_seconds`` / ``solver.roots_seconds.degree_<d>``
   histograms measure); its median ratio is the recorded ``speedup``.
-  The *sweep* comparison times full ``real_roots_rows`` batches with
-  ``SOLVER_CONFIG.closed_form`` toggled — the end-to-end view, where
+  The *sweep* comparison times full ``real_roots_rows`` batches against
+  the companion reference sweep of ``tests/oracles.py`` (every row
+  declined by the closed-form kernels) — the end-to-end view, where
   the shared Newton polish, residual filter and Python row loop dilute
   the kernel win (recorded as ``sweep_speedup_deg<d>`` for context).
   Both paths must agree on the final post-polish/dedupe/pad root lists
@@ -35,11 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).parent))
+sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent)]
 from harness import record_result  # noqa: E402
+from tests.oracles import companion_roots_rows  # noqa: E402
 
 from repro.core.batch_solver import (
-    SOLVER_CONFIG,
     _stacked_companion_eigvals_impl,
     closed_form_stats,
     real_roots_rows,
@@ -74,29 +75,15 @@ def _kernel_rows(degree: int, seed: int) -> list[tuple]:
     return rows
 
 
-def _time_rows(rows: list[tuple], closed_form: bool) -> float:
-    """Median seconds per full ``real_roots_rows`` sweep of ``rows``."""
-    saved = SOLVER_CONFIG.closed_form
-    SOLVER_CONFIG.closed_form = closed_form
-    try:
-        real_roots_rows(rows)  # warm the allocator/ufunc paths
-        samples = []
-        for _ in range(KERNEL_REPEATS):
-            t0 = time.perf_counter()
-            real_roots_rows(rows)
-            samples.append(time.perf_counter() - t0)
-    finally:
-        SOLVER_CONFIG.closed_form = saved
+def _time_rows(solve, rows: list[tuple]) -> float:
+    """Median seconds per full ``solve(rows)`` sweep."""
+    solve(rows)  # warm the allocator/ufunc paths
+    samples = []
+    for _ in range(KERNEL_REPEATS):
+        t0 = time.perf_counter()
+        solve(rows)
+        samples.append(time.perf_counter() - t0)
     return statistics.median(samples)
-
-
-def _solve_rows(rows: list[tuple], closed_form: bool) -> list[list[float]]:
-    saved = SOLVER_CONFIG.closed_form
-    SOLVER_CONFIG.closed_form = closed_form
-    try:
-        return real_roots_rows(rows)
-    finally:
-        SOLVER_CONFIG.closed_form = saved
 
 
 def _time_kernel_stage(rows: list[tuple]) -> tuple[float, float]:
@@ -132,8 +119,8 @@ def run_kernel_experiment() -> dict:
     parity_mismatch = 0
     for degree in (3, 4):
         rows = _kernel_rows(degree, seed=100 + degree)
-        closed = _solve_rows(rows, closed_form=True)
-        eig = _solve_rows(rows, closed_form=False)
+        closed = real_roots_rows(rows)
+        eig = companion_roots_rows(rows)
         for c_roots, e_roots in zip(closed, eig):
             parity_total += 1
             same = len(c_roots) == len(e_roots) and all(
@@ -148,8 +135,8 @@ def run_kernel_experiment() -> dict:
         )
         metrics[f"kernel_eigval_us_deg{degree}"] = round(k_eig * 1e6, 1)
         metrics[f"speedup_deg{degree}"] = round(k_eig / k_closed, 2)
-        t_closed = _time_rows(rows, closed_form=True)
-        t_eig = _time_rows(rows, closed_form=False)
+        t_closed = _time_rows(real_roots_rows, rows)
+        t_eig = _time_rows(companion_roots_rows, rows)
         metrics[f"sweep_closed_form_ms_deg{degree}"] = round(
             t_closed * 1e3, 4
         )

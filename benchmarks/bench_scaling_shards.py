@@ -96,9 +96,9 @@ OVERHEAD_AMP = 21
 #: tuple that validates against the live model re-emits the same
 #: coefficients over an advanced window rather than fitting fresh ones.
 #: Persisting coefficients across REFIT_EVERY arrivals reproduces that
-#: regime — and is what gives content-addressed reuse (the solve cache
-#: in the default path, the solution stores on the incremental path)
-#: real repetition to work with, as in any deployed trace.
+#: regime — and is what gives content-addressed reuse (the operators'
+#: solution stores, and the solve cache behind them) real repetition to
+#: work with, as in any deployed trace.
 REFIT_EVERY = 4
 
 

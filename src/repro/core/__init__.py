@@ -5,12 +5,7 @@ per-operator simultaneous equation systems, the query transform, and
 validated execution with inverted error bounds.
 """
 
-from .batch_solver import (
-    SolverConfig,
-    set_solver_mode,
-    solver_config,
-    solver_mode,
-)
+from .batch_solver import SolverConfig, solver_config
 from .equation_system import DifferenceRow, EquationSystem, solve_systems_batch
 from .errors import PulseError
 from .expr import Abs, Add, Attr, Const, Div, Expr, Mul, Neg, Pow, Sqrt, Sub
@@ -33,6 +28,6 @@ __all__ = [
     "PredictiveStats", "PulseError", "Rel", "Segment", "SegmentBuffer",
     "SolveCache", "SolverConfig", "Sqrt", "Sub", "TimeSet",
     "TransformedQuery", "global_solve_cache", "lower_envelope", "normalize",
-    "reset_global_solve_cache", "set_solver_mode", "solve_systems_batch",
-    "solver_config", "solver_mode", "to_continuous_plan", "upper_envelope",
+    "reset_global_solve_cache", "solve_systems_batch", "solver_config",
+    "to_continuous_plan", "upper_envelope",
 ]

@@ -22,19 +22,18 @@ scalar path's operation sequence exactly (padded Horner is bit-identical
 to unpadded Horner for finite arguments, and the stacked eigensolver
 applies the same LAPACK kernel per matrix), so batched and scalar solves
 return identical :class:`TimeSet` objects.  ``tests/property/
-test_batch_solver_parity.py`` enforces this, and :func:`set_solver_mode`
-forces the scalar path for A/B experiments.
+test_batch_solver_parity.py`` enforces this against the scalar
+reference (``roots.real_roots`` / ``roots.solve_relation``, see
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .roots import (
     _deflate,
     _quadratic_roots,
     check_coefficients,
-    solve_relation,
 )
 
 #: Newton tolerance, matching :func:`repro.core.roots.newton`'s default.
@@ -66,31 +64,14 @@ SolveTask = tuple[Polynomial, Rel, float, float]
 # ----------------------------------------------------------------------
 @dataclass
 class SolverConfig:
-    """Global solver knobs (the ``modes``-level A/B switch).
+    """Global solver budgets.
 
     Attributes
     ----------
-    kernel:
-        ``"batch"`` routes multi-row solves through the batched
-        companion-matrix kernel; ``"scalar"`` forces the original
-        row-at-a-time path (A/B parity testing).
-    closed_form:
-        Route degree-3/4 rows through the vectorized Cardano/Ferrari
-        kernels (:mod:`repro.core.closed_form`) instead of the stacked
-        companion eigensolve.  Rows whose closed-form branch hits a
-        non-finite intermediate fall back to the eigensolve per row.
-        Disable for A/B timing (``bench_ablation_roots``) and for the
-        closed-form-vs-companion parity fuzzing in CI.
-    cache_enabled:
-        Whether multi-use solve results are memoized in the global
-        :class:`~repro.core.solve_cache.SolveCache`.
     cache_size:
-        Bound on cached entries (LRU eviction beyond it).
-    cache_mantissa_bits:
-        Low mantissa bits zeroed when quantizing cache-key floats.  The
-        default ``0`` caches only byte-identical systems; raising it
-        makes near-identical systems (within ``~2**bits`` ulps) share an
-        entry at the cost of exactness.
+        Bound on entries of the global
+        :class:`~repro.core.solve_cache.SolveCache` (LRU eviction
+        beyond it).
     max_rows_per_system:
         Guardrail budget: a single system presenting more difference
         rows than this fails with a typed ``"row-budget"``
@@ -98,26 +79,11 @@ class SolverConfig:
     max_roots_per_row:
         Guardrail budget on a row's polynomial degree (the root count
         bound); beyond it the row fails with ``"root-budget"``.
-    incremental:
-        Route selective operators through the delta-maintenance path
-        (:mod:`repro.core.delta`): probes whose content signature and
-        time domain are covered by a previously solved entry are served
-        from the per-operator :class:`~repro.core.delta.SolutionStore`
-        without touching the equation-system layer, and the priming
-        pass ships only genuine delta rows.  ``False`` (the default) is
-        the full re-solve path — the parity oracle; the two paths must
-        emit bit-identical outputs (enforced by the
-        ``incremental-parity`` CI job).
     """
 
-    kernel: str = "batch"
-    closed_form: bool = True
-    cache_enabled: bool = True
     cache_size: int = 4096
-    cache_mantissa_bits: int = 0
     max_rows_per_system: int = 256
     max_roots_per_row: int = 64
-    incremental: bool = False
 
 
 SOLVER_CONFIG = SolverConfig()
@@ -126,56 +92,6 @@ SOLVER_CONFIG = SolverConfig()
 def solver_config() -> SolverConfig:
     """The process-wide solver configuration (mutable)."""
     return SOLVER_CONFIG
-
-
-def batch_kernel_enabled() -> bool:
-    return SOLVER_CONFIG.kernel == "batch"
-
-
-def set_solver_mode(mode: str) -> None:
-    """Select the solving path: ``"batch"`` or ``"scalar"``.
-
-    ``"scalar"`` also disables the solve cache so the path is exactly
-    the seed implementation — the A/B baseline.  ``"batch"`` restores
-    both the kernel and the cache.
-    """
-    if mode not in ("batch", "scalar"):
-        raise ValueError(f"solver mode must be 'batch' or 'scalar', got {mode!r}")
-    SOLVER_CONFIG.kernel = mode
-    SOLVER_CONFIG.cache_enabled = mode == "batch"
-
-
-@contextmanager
-def solver_mode(mode: str) -> Iterator[SolverConfig]:
-    """Temporarily force a solver mode (restores all knobs on exit)."""
-    saved = dataclasses.asdict(SOLVER_CONFIG)
-    try:
-        set_solver_mode(mode)
-        yield SOLVER_CONFIG
-    finally:
-        for name, value in saved.items():
-            setattr(SOLVER_CONFIG, name, value)
-
-
-def incremental_enabled() -> bool:
-    """Whether the delta-maintenance (incremental re-solve) path is on."""
-    return SOLVER_CONFIG.incremental
-
-
-def set_incremental(on: bool) -> None:
-    """Toggle the incremental delta re-solve path (A/B knob)."""
-    SOLVER_CONFIG.incremental = bool(on)
-
-
-@contextmanager
-def incremental_mode(on: bool = True) -> Iterator[SolverConfig]:
-    """Temporarily toggle the incremental path (restores on exit)."""
-    saved = SOLVER_CONFIG.incremental
-    try:
-        SOLVER_CONFIG.incremental = bool(on)
-        yield SOLVER_CONFIG
-    finally:
-        SOLVER_CONFIG.incremental = saved
 
 
 # ----------------------------------------------------------------------
@@ -501,10 +417,9 @@ def _real_roots_rows_impl(
     failed: set[int] = set()
     # inner companion length -> list of (item index, descending inner coeffs)
     buckets: dict[int, list[tuple[int, list[float]]]] = defaultdict(list)
-    # inner lengths 4/5 peel off to the closed-form kernels when enabled
+    # inner lengths 4/5 peel off to the closed-form kernels
     cf_buckets: dict[int, list[tuple[int, list[float]]]] = defaultdict(list)
     needs_polish: set[int] = set()
-    use_closed_form = SOLVER_CONFIG.closed_form
 
     def record(j: int, exc: SolverError) -> None:
         if failures is None:
@@ -547,7 +462,7 @@ def _real_roots_rows_impl(
                 desc.pop()
                 candidates[j].append(0.0)
             if len(desc) >= 2:
-                if use_closed_form and len(desc) in (4, 5):
+                if len(desc) in (4, 5):
                     cf_buckets[len(desc)].append((j, desc))
                 else:
                     buckets[len(desc)].append((j, desc))
@@ -969,10 +884,10 @@ def solve_tasks(
     """Solve many difference rows, consulting the cache and the kernel.
 
     This is the single funnel every row solve goes through: cache lookup
-    first (when enabled), then either the batched kernel or the scalar
-    path for the misses, then cache fill.  Failed tasks are never
-    cached; with a ``failures`` dict, their typed errors are recorded
-    per task index (result slot ``TimeSet.empty()``) instead of raised.
+    first, then the batched kernel for the misses, then cache fill.
+    Failed tasks are never cached; with a ``failures`` dict, their typed
+    errors are recorded per task index (result slot ``TimeSet.empty()``)
+    instead of raised.
     """
     hook = _SPAN_SOLVE_TASKS
     if hook is None:
@@ -985,37 +900,29 @@ def _solve_tasks_impl(
     tasks: Sequence[SolveTask],
     failures: dict[int, SolverError] | None = None,
 ) -> list[TimeSet]:
-    cfg = SOLVER_CONFIG
-    cache = None
-    if cfg.cache_enabled:
-        from .solve_cache import global_solve_cache
+    from .solve_cache import global_solve_cache
 
-        cache = global_solve_cache()
+    cache = global_solve_cache()
     results: list[TimeSet | None] = [None] * len(tasks)
     miss_indices: list[int] = []
     keys: list[object] = []
     aliases: list[tuple[int, int]] = []  # (result index, miss slot)
-    if cache is not None:
-        # Counter handle bound once per call, not looked up per task.
-        hits_counter = cache._counter("hits")
-        slot_of_key: dict[object, int] = {}
-        for i, task in enumerate(tasks):
-            key = cache.key(*task)
-            if key in slot_of_key:
-                # Duplicate of an in-flight miss: served from this very
-                # batch's fill, so it counts as a hit.
-                hits_counter.bump()
-                aliases.append((i, slot_of_key[key]))
-                continue
-            hit = cache.get(key)
-            if hit is not None:
-                results[i] = hit
-            else:
-                slot_of_key[key] = len(miss_indices)
-                miss_indices.append(i)
-                keys.append(key)
-    else:
-        miss_indices = list(range(len(tasks)))
+    slot_of_key: dict[object, int] = {}
+    for i, task in enumerate(tasks):
+        key = cache.key(*task)
+        if key in slot_of_key:
+            # Duplicate of an in-flight miss: served from this very
+            # batch's fill, so it counts as a hit.
+            cache._hits_counter.bump()
+            aliases.append((i, slot_of_key[key]))
+            continue
+        hit = cache.get(key)
+        if hit is not None:
+            results[i] = hit
+        else:
+            slot_of_key[key] = len(miss_indices)
+            miss_indices.append(i)
+            keys.append(key)
 
     miss_failures: dict[int, SolverError] = {}
     if miss_indices:
@@ -1034,43 +941,25 @@ def _solve_tasks_impl(
                 hooked.append(task if replacement is None else replacement)
             pending = hooked
         live = [s for s in range(len(pending)) if s not in miss_failures]
-        solved: dict[int, TimeSet] = {}
-        if batch_kernel_enabled():
-            live_failures: dict[int, SolverError] | None = (
-                None if failures is None else {}
-            )
-            solved_live = solve_relation_batch(
-                [pending[s] for s in live], failures=live_failures
-            )
-            for k, s in enumerate(live):
-                solved[s] = solved_live[k]
-            if live_failures:
-                for k, exc in live_failures.items():
-                    miss_failures[live[k]] = exc
-        else:
-            for s in live:
-                p, rel, lo, hi = pending[s]
-                try:
-                    solved[s] = solve_relation(p, rel, lo, hi)
-                except SolverError as exc:
-                    if failures is None:
-                        raise
-                    miss_failures[s] = exc
+        live_failures: dict[int, SolverError] | None = (
+            None if failures is None else {}
+        )
+        solved_live = solve_relation_batch(
+            [pending[s] for s in live], failures=live_failures
+        )
+        solved = dict(zip(live, solved_live))
+        if live_failures:
+            for k, exc in live_failures.items():
+                miss_failures[live[k]] = exc
         for slot, i in enumerate(miss_indices):
             if slot in miss_failures:
                 failures[i] = miss_failures[slot]  # type: ignore[index]
                 results[i] = TimeSet.empty()
                 continue
             results[i] = solved[slot]
-            if cache is not None:
-                cache.put(keys[slot], solved[slot])
+            cache.put(keys[slot], solved[slot])
     for i, slot in aliases:
         if slot in miss_failures and failures is not None:
             failures[i] = miss_failures[slot]
         results[i] = results[miss_indices[slot]]
     return results  # type: ignore[return-value]
-
-
-def solve_one(poly: Polynomial, rel: Rel, lo: float, hi: float) -> TimeSet:
-    """Solve a single row through the cache/kernel funnel."""
-    return solve_tasks([(poly, rel, lo, hi)])[0]

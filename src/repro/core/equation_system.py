@@ -32,9 +32,7 @@ import numpy as np
 from .batch_solver import (
     SOLVER_CONFIG,
     SolveTask,
-    batch_kernel_enabled,
     fault_hook,
-    solve_one,
     solve_tasks,
     vandermonde_values,
 )
@@ -99,10 +97,6 @@ class DifferenceRow:
 
     poly: Polynomial
     rel: Rel
-
-    def solve(self, lo: float, hi: float) -> TimeSet:
-        row_solve_counter().bump()
-        return solve_one(self.poly, self.rel, lo, hi)
 
     def holds_at(self, t: float, tol: float = 0.0) -> bool:
         return self.rel.holds(self.poly(t), tol)
@@ -259,10 +253,9 @@ class EquationSystem:
     def solve(self, lo: float, hi: float) -> TimeSet:
         """Solve the system over the half-open domain ``[lo, hi)``.
 
-        Uses the equality fast path for all-equality conjunctions; all
-        other multi-row systems go through the batched kernel (every row
-        solved in one companion-matrix sweep) unless the scalar path is
-        forced via :func:`repro.core.batch_solver.set_solver_mode`.
+        Uses the equality fast path for all-equality conjunctions; every
+        other system solves all its rows in one cached batch (one
+        kernel sweep) and combines them through the boolean structure.
 
         Guardrail contract: every failure escapes as a typed
         :class:`SolverError` (usually a :class:`SolverFailure` with a
@@ -287,11 +280,7 @@ class EquationSystem:
                 and len(self.rows) > 1
             ):
                 return self._solve_equality_system(lo, hi)
-            if batch_kernel_enabled() and len(self.rows) > 1:
-                return self.evaluate_structure(
-                    self.solve_rows(lo, hi), lo, hi
-                )
-            return self._solve_node(self._structure, lo, hi)
+            return self.evaluate_structure(self.solve_rows(lo, hi), lo, hi)
         except SolverError:
             raise
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -311,14 +300,12 @@ class EquationSystem:
     def row_tasks(self, lo: float, hi: float) -> "list[SolveTask]":
         """The cache-funnel tasks solving this system would issue.
 
-        Every row solve — batched multi-row, or per-atom in the boolean
-        walk — funnels through :func:`~repro.core.batch_solver.solve_tasks`
-        with ``(poly, rel, lo, hi)`` tasks; this returns that task list
+        Every row solve funnels through
+        :func:`~repro.core.batch_solver.solve_tasks` with
+        ``(poly, rel, lo, hi)`` tasks; this returns that task list
         without solving.  The equality fast path solves a *derived*
-        candidate row, so it predicts nothing.  An ``And`` short-circuit
-        may skip some rows at solve time, so this can over-predict —
-        the priming pass that consumes it only warms caches.  Never
-        mutates the system.
+        candidate row, so it predicts nothing.  Never mutates the
+        system.
         """
         if lo >= hi or not self.rows:
             return []
@@ -390,28 +377,6 @@ class EquationSystem:
             raise SolverError(f"unknown node {node!r}")
 
         return walk(self._structure)
-
-    def _solve_node(self, node: _Node, lo: float, hi: float) -> TimeSet:
-        if isinstance(node, _LiteralNode):
-            return TimeSet.interval(lo, hi) if node.value else TimeSet.empty()
-        if isinstance(node, _AtomNode):
-            return self.rows[node.row].solve(lo, hi)
-        if isinstance(node, _AndNode):
-            result = TimeSet.interval(lo, hi)
-            for child in node.children:
-                result = result & self._solve_node(child, lo, hi)
-                if result.is_empty:
-                    return result
-            return result
-        if isinstance(node, _OrNode):
-            result = TimeSet.empty()
-            for child in node.children:
-                result = result | self._solve_node(child, lo, hi)
-            return result
-        if isinstance(node, _NotNode):
-            inner = self._solve_node(node.child, lo, hi)
-            return inner.complement(Interval(lo, hi))
-        raise SolverError(f"unknown node {node!r}")
 
     def _solve_equality_system(self, lo: float, hi: float) -> TimeSet:
         """Fast path for pure equality systems (Gaussian or SVD).
@@ -519,17 +484,12 @@ class EquationSystem:
         if hi <= lo:
             return self._inf_norm(lo)
         ts = np.linspace(lo, hi, samples)
-        if batch_kernel_enabled():
-            # One D @ [1, t, t^2, ...] matrix product over the whole
-            # sample grid instead of per-row Horner loops.
-            values = np.max(
-                np.abs(vandermonde_values(self.coefficient_matrix(), ts)),
-                axis=0,
-            )
-        else:
-            values = np.max(
-                np.abs(np.vstack([row.poly(ts) for row in self.rows])), axis=0
-            )
+        # One D @ [1, t, t^2, ...] matrix product over the whole sample
+        # grid instead of per-row Horner loops.
+        values = np.max(
+            np.abs(vandermonde_values(self.coefficient_matrix(), ts)),
+            axis=0,
+        )
         best = int(np.argmin(values))
         a = ts[max(best - 1, 0)]
         b = ts[min(best + 1, samples - 1)]
@@ -553,8 +513,7 @@ def solve_systems_batch(
     pair produced by one join probe.  All rows of all general systems
     are pooled into a single :func:`solve_tasks` call (one cache pass,
     one degree-bucketed eigensolve); equality fast-path systems keep
-    their own pre-analysis, and everything falls back to the scalar
-    per-system path when the batch kernel is disabled.
+    their own pre-analysis.
 
     With a ``failures`` dict, a failing system records its typed error
     under its job index (result ``TimeSet.empty()``) instead of sinking
@@ -574,11 +533,9 @@ def _solve_systems_batch_impl(
     results: list[TimeSet | None] = [None] * len(jobs)
     spans: list[tuple[int, int, int]] = []  # (job index, start, stop)
     tasks: list[SolveTask] = []
-    use_batch = batch_kernel_enabled()
     for ji, (system, lo, hi) in enumerate(jobs):
         if (
-            not use_batch
-            or lo >= hi
+            lo >= hi
             or not system.rows
             or (
                 system.all_equalities

@@ -21,20 +21,6 @@ from typing import Iterable, Mapping, Sequence
 from ..engine.tuples import StreamTuple
 from ..fitting.model_builder import build_segments, predictive_segment
 
-# The solver A/B switch lives here alongside the processing modes: both
-# predictive and historical execution funnel through the same kernel, and
-# ``set_solver_mode("scalar")`` / ``solver_mode("batch")`` select between
-# the batched companion-matrix kernel and the per-row scalar path for
-# parity testing and ablation runs.
-from .batch_solver import (  # noqa: F401  (re-exported switch)
-    SolverConfig,
-    incremental_enabled,
-    incremental_mode,
-    set_incremental,
-    set_solver_mode,
-    solver_config,
-    solver_mode,
-)
 from .expr import Expr
 from .segment import Segment
 from .transform import TransformedQuery, to_continuous_plan

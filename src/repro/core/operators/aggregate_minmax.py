@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from ..batch_solver import incremental_enabled
 from ..delta import SolutionStore
 from ..errors import UnsupportedAggregateError
 from ..intervals import EPS, TimeSet
@@ -76,10 +75,10 @@ class ContinuousExtremumAggregate(ContinuousOperator):
         self._high_water = -math.inf
         #: Count of equation systems instantiated (benchmark hook).
         self.systems_solved = 0
-        # Incremental (delta) state: per-piece relation solutions keyed
-        # by the difference polynomial's coefficients and the relation.
-        # A re-confirmed model compared against an unchanged envelope
-        # piece is a covered probe served without re-solving.
+        # Per-piece relation solutions keyed by the difference
+        # polynomial's coefficients and the relation: a re-confirmed
+        # model compared against an unchanged envelope piece is a
+        # covered probe served without re-solving.
         self._solution_store = SolutionStore()
 
     @property
@@ -126,7 +125,6 @@ class ContinuousExtremumAggregate(ContinuousOperator):
         from ..roots import solve_relation
 
         rel = Rel.LT if self.func == "min" else Rel.GT
-        incremental = incremental_enabled()
         covered_new = TimeSet.empty()
         covered_any = TimeSet.empty()
         for piece in self._envelope.pieces:
@@ -138,16 +136,13 @@ class ContinuousExtremumAggregate(ContinuousOperator):
             # One row of the system: x(t) - s(t) R 0 against this state
             # piece, solved over the common valid range.
             diff = poly - piece.poly
-            solution = None
-            sig = None
-            if incremental:
-                sig = (diff.coeffs, rel)
-                solution = self._solution_store.lookup(sig, a, b)
+            sig = (diff.coeffs, rel)
+            found = self._solution_store.lookup(sig, a, b)
+            solution = None if found is None else found[1]
             if solution is None:
                 self.systems_solved += 1
                 solution = solve_relation(diff, rel, a, b)
-                if sig is not None:
-                    self._solution_store.store(sig, a, b, solution)
+                self._solution_store.store(sig, None, (a, b, solution))
             covered_new = covered_new | solution
         if lo >= hi:
             return TimeSet.empty()

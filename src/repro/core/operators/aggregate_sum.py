@@ -128,16 +128,6 @@ class ContinuousSumAggregate(ContinuousOperator):
     # ------------------------------------------------------------------
     # segment processing
     # ------------------------------------------------------------------
-    def apply_delta(self, segment: Segment, change=None, port: int = 0) -> list[Segment]:
-        """Sum state is delta-maintained by construction.
-
-        The cumulative antiderivative is built by appending (or, on a
-        revision, truncating) exactly the changed span — no solver runs
-        and no whole-state recomputation exists to avoid, so the delta
-        path is :meth:`process` itself.
-        """
-        return self.process(segment, port)
-
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
         poly = resolve_model(segment, self.attr)
         lo, hi = segment.t_start, segment.t_end

@@ -5,9 +5,12 @@ segments (Section III-C), so operators expose a uniform
 ``process(segment, port) -> list[Segment]`` interface that the plan
 executor routes between.
 
-Two helpers live here because every selective operator needs them:
+Three pieces live here because every selective operator needs them:
 
-* :func:`make_resolver` maps predicate attribute names (possibly
+* :class:`SelectiveOperator` owns the two memo objects of a predicate
+  -carrying operator (fold memo, solution store) and the one probe path
+  through them;
+* :class:`AttributeBinding` maps predicate attribute names (possibly
   alias-qualified) onto the polynomial models of one or more aligned
   segments, turning numeric unmodeled constants into constant polynomials;
 * :func:`partial_evaluate` first evaluates the predicate atoms that touch
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from ..delta import LruMemo
+from ..delta import LruMemo, SolutionStore
+from ..equation_system import EquationSystem
 from ..errors import PredicateError
 from ..expr import ModelResolver
+from ..intervals import TimeSet
 from ..polynomial import Polynomial
 from ..predicate import (
     And,
@@ -64,7 +69,9 @@ class ContinuousOperator:
         round's solve work — root rows through shard workers, then a
         single parent-side solve sweep that fills the solve cache —
         before processing; implementations must not mutate operator
-        state.
+        state (remembering a compiled system in the operator's solution
+        store is not state: ``process`` finds it there instead of
+        compiling again).
 
         The prediction is best-effort and correctness-neutral: a missed
         task simply computes inline during ``process`` (e.g. a join
@@ -73,24 +80,6 @@ class ContinuousOperator:
         for every operator.
         """
         return []
-
-    def apply_delta(
-        self, segment: Segment, change=None, port: int = 0
-    ) -> list[Segment]:
-        """Process one arrival along the incremental (delta) path.
-
-        ``change`` is the arrival's :class:`~repro.core.delta.
-        SegmentChange` (may be ``None`` when the caller did not
-        classify).  Selective operators do not need per-change
-        invalidation: their incremental state (the per-operator
-        :class:`~repro.core.delta.SolutionStore`) is keyed by *content
-        signature*, so a refit's stale entries are unreachable by
-        construction and ``process`` itself consults the store when
-        the ``incremental`` solver knob is on.  The default therefore
-        defers to :meth:`process`; stateful wrappers (the group-by)
-        override this to route the change to per-group state.
-        """
-        return self.process(segment, port)
 
     def prime_round(
         self, arrivals: Sequence[tuple[int, Segment]]
@@ -119,109 +108,68 @@ class ContinuousOperator:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class SystemMemo:
-    """Capped value-keyed memo used to deduplicate predicate compiles.
+class SelectiveOperator(ContinuousOperator):
+    """A predicate-carrying operator and the two things it remembers.
 
-    Selective operators compile the same predicate against the same
-    segment content more than once — the sharded runtime's read-only
-    priming pass predicts the systems ``process`` then rebuilds, and a
-    join probes each stored partner against many arrivals.  Two
-    signature granularities cover the two compile stages:
+    * ``_fold_memo`` — discrete signature -> folded residual.  The fold
+      reads only discrete values and name-resolution structure, so one
+      entry serves every alignment with those constants; it is what
+      rejects an equi-key join's cross-key pairs before any compile.
+    * ``_solution_store`` — content signature -> compiled system plus
+      widest solved domain (see :class:`~repro.core.delta.SolutionStore`).
 
-    * :meth:`fold_signature` — discrete constant values plus model
-      *names*.  The partial-evaluation fold reads only discrete values
-      and name-resolution structure, so this cheap key is exact for the
-      folded residual; crucially it is shared by every pair an equi-key
-      predicate rejects discretely, which is where most probes of a
-      multi-key stream end.
-    * :meth:`signature` — constants plus model ``(name, polynomial)``
-      items.  The compiled equation system additionally depends on the
-      model coefficients; polynomials hash by coefficient value, so
-      segment copies produced by update-semantics trimming (which keep
-      their originals' models) hit the same entry, and there is no
-      object-identity reuse hazard.
-
-    Entries are bounded by LRU eviction (one entry at a time, metered
-    under ``memo.system.*`` — not a wholesale flush) so streams with
-    unbounded constant cardinality stay bounded without periodic
-    recompile stampedes.
-
-    Per-segment signature components are cached by ``seg_id`` (segments
-    are immutable and ids are never reused in-process): a stored join
-    partner is probed against many arrivals, and rebuilding its sorted
-    item tuples on every probe dominates memo-hit cost.
+    :meth:`_probe` is the single path through both: at most one lookup
+    in each per probe, shared by ``process``, the sharded runtime's
+    priming pass and slack validation.
     """
 
-    __slots__ = ("_map", "maxsize")
+    def __init__(self, predicate: BoolExpr):
+        self.predicate = predicate
+        #: Count of equation systems solved (benchmark hook).
+        self.systems_solved = 0
+        self._fold_memo = LruMemo(4096, "memo.fold")
+        self._solution_store = SolutionStore()
 
-    def __init__(self, maxsize: int = 4096):
-        self._map = LruMemo(maxsize, "memo.system")
-        self.maxsize = maxsize
+    def reset(self) -> None:
+        self._fold_memo.clear()
+        self._solution_store.clear()
 
-    @staticmethod
-    def signature(*segments: Segment):
-        """Full content key (constants + model polynomials), or ``None``
-        when some constant value is unhashable."""
-        try:
-            sig = tuple(_content_sig(s) for s in segments)
-            hash(sig)
-        except TypeError:
-            return None
-        return sig
+    def _probe(
+        self,
+        aligned: Mapping[str | None, Segment],
+        fold_sig,
+        content_sig,
+        lo: float,
+        hi: float,
+    ) -> tuple[BoolExpr, EquationSystem | None, TimeSet | None]:
+        """Fold, compile and recall ``predicate`` over ``aligned``.
 
-    @staticmethod
-    def fold_signature(*segments: Segment):
-        """Discrete-only key (constants + model names), or ``None`` when
-        some constant value is unhashable."""
-        try:
-            sig = tuple(_fold_sig(s) for s in segments)
-            hash(sig)
-        except TypeError:
-            return None
-        return sig
-
-    def get(self, sig):
-        if sig is None:
-            return None
-        return self._map.get(sig)
-
-    def put(self, sig, value) -> None:
-        if sig is None:
-            return
-        self._map.put(sig, value)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def clear(self) -> None:
-        self._map.clear()
-
-
-_SIG_CACHE_MAX = 8192
-_content_sigs = LruMemo(_SIG_CACHE_MAX, "memo.content_sig")
-_fold_sigs = LruMemo(_SIG_CACHE_MAX, "memo.fold_sig")
-
-
-def _content_sig(segment: Segment) -> tuple:
-    sig = _content_sigs.get(segment.seg_id)
-    if sig is None:
-        sig = (
-            tuple(sorted(segment.constants.items())),
-            tuple(sorted(segment.models.items())),
-        )
-        _content_sigs.put(segment.seg_id, sig)
-    return sig
-
-
-def _fold_sig(segment: Segment) -> tuple:
-    sig = _fold_sigs.get(segment.seg_id)
-    if sig is None:
-        sig = (
-            tuple(sorted(segment.constants.items())),
-            tuple(sorted(segment.models)),
-        )
-        _fold_sigs.put(segment.seg_id, sig)
-    return sig
+        Returns ``(residual, system, solution)``: ``system`` is ``None``
+        iff the residual folded to a literal; ``solution`` is the
+        remembered answer over ``[lo, hi)`` or ``None`` when the caller
+        has to solve ``system`` (and should store a successful result).
+        The signatures are the aligned segments' ``fold_sig`` /
+        ``content_sig`` (``None`` = unhashable content, never memoized).
+        """
+        binding = None
+        residual = None
+        if fold_sig is not None:
+            residual = self._fold_memo.get(fold_sig)
+        if residual is None:
+            binding = AttributeBinding(aligned)
+            residual = partial_evaluate(self.predicate, binding)
+            if fold_sig is not None:
+                self._fold_memo.put(fold_sig, residual)
+        if isinstance(residual, Literal):
+            return residual, None, None
+        found = self._solution_store.lookup(content_sig, lo, hi)
+        if found is not None:
+            return residual, found[0], found[1]
+        if binding is None:
+            binding = AttributeBinding(aligned)
+        system = EquationSystem.from_predicate(residual, binding.resolver())
+        self._solution_store.store(content_sig, system)
+        return residual, system, None
 
 
 class AttributeBinding:

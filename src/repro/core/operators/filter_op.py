@@ -9,20 +9,13 @@ equality comparisons).
 
 from __future__ import annotations
 
-from ..batch_solver import incremental_enabled
-from ..delta import LruMemo, SolutionStore
 from ..equation_system import EquationSystem
-from ..predicate import BoolExpr, Literal
+from ..predicate import BoolExpr
 from ..segment import Segment
-from .base import (
-    AttributeBinding,
-    ContinuousOperator,
-    SystemMemo,
-    partial_evaluate,
-)
+from .base import SelectiveOperator
 
 
-class ContinuousFilter(ContinuousOperator):
+class ContinuousFilter(SelectiveOperator):
     """Stateless selective operator over single segments.
 
     Parameters
@@ -39,91 +32,35 @@ class ContinuousFilter(ContinuousOperator):
     arity = 1
 
     def __init__(self, predicate: BoolExpr, alias: str | None = None, name: str = "filter"):
-        self.predicate = predicate
+        super().__init__(predicate)
         self.alias = alias
         self.name = name
-        #: Count of equation systems instantiated (benchmark hook).
-        self.systems_solved = 0
-        # Two-level compile memo shared by process / priming / slack:
-        # folds key on the segment's discrete signature, systems on full
-        # content (see SystemMemo).
-        self._fold_memo = SystemMemo()
-        self._system_memo = SystemMemo()
-        # Identity shortcut over the value memos: a segment is immutable,
-        # so its compile result never changes.  The sharded runtime
-        # probes each segment twice (prime, then process); the second
-        # probe becomes a single memo hit.
-        self._segment_results: LruMemo = LruMemo(
-            65536, "memo.filter_segment"
+
+    def _probe_segment(self, segment: Segment):
+        return self._probe(
+            {self.alias: segment},
+            segment.fold_sig,
+            segment.content_sig,
+            segment.t_start,
+            segment.t_end,
         )
-        # Incremental (delta) state: solved TimeSets keyed by segment
-        # content signature, consulted when the ``incremental`` solver
-        # knob is on.  A re-emitted / covered probe is served here with
-        # zero row solves; a refit's new content misses by construction.
-        self._solution_store = SolutionStore()
-
-    def reset(self) -> None:
-        self._fold_memo.clear()
-        self._system_memo.clear()
-        self._segment_results.clear()
-        self._solution_store.clear()
-
-    def _segment_system(
-        self, segment: Segment
-    ) -> tuple[BoolExpr, EquationSystem | None]:
-        """Fold + compile ``predicate`` for one segment, memoized.
-
-        Returns ``(residual, system)``; ``system`` is ``None`` iff the
-        residual folded to a literal.
-        """
-        cached = self._segment_results.get(segment.seg_id)
-        if cached is not None:
-            return cached
-        binding = None
-        fold_sig = SystemMemo.fold_signature(segment)
-        residual = self._fold_memo.get(fold_sig)
-        if residual is None:
-            binding = AttributeBinding({self.alias: segment})
-            residual = partial_evaluate(self.predicate, binding)
-            self._fold_memo.put(fold_sig, residual)
-        if isinstance(residual, Literal):
-            system = None
-        else:
-            sys_sig = SystemMemo.signature(segment)
-            system = self._system_memo.get(sys_sig)
-            if system is None:
-                if binding is None:
-                    binding = AttributeBinding({self.alias: segment})
-                system = EquationSystem.from_predicate(
-                    residual, binding.resolver()
-                )
-                self._system_memo.put(sys_sig, system)
-        self._segment_results.put(segment.seg_id, (residual, system))
-        return residual, system
 
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
-        residual, system = self._segment_system(segment)
+        residual, system, solution = self._probe_segment(segment)
         if system is None:
             if residual.value:
                 return [segment]
             return []
-        solution = None
-        sig = None
-        if incremental_enabled():
-            sig = SystemMemo.signature(segment)
-            solution = self._solution_store.lookup(
-                sig, segment.t_start, segment.t_end
-            )
         if solution is None:
             self.systems_solved += 1
             solution = system.solve(segment.t_start, segment.t_end)
-            if sig is not None:
-                # Successful solves only: a raising system never lands
-                # here, so faulted content re-fails on every probe
-                # exactly as the full path does.
-                self._solution_store.store(
-                    sig, segment.t_start, segment.t_end, solution
-                )
+            # Successful solves only: a raising system never lands
+            # here, so faulted content re-fails on every probe.
+            self._solution_store.store(
+                segment.content_sig,
+                system,
+                (segment.t_start, segment.t_end, solution),
+            )
         outputs: list[Segment] = []
         for iv in solution.intervals:
             outputs.append(segment.restrict(iv.lo, iv.hi))
@@ -132,19 +69,14 @@ class ContinuousFilter(ContinuousOperator):
         return outputs
 
     def prime_tasks(self, segment: Segment, port: int = 0):
-        """Exact prediction: the filter is stateless, so the system built
-        here is the one ``process`` will use (shared via the memo).
-        Under the incremental knob, probes the solution store would
-        serve are not predicted at all — only delta rows ship."""
-        residual, system = self._segment_system(segment)
-        if system is None:
-            return []
-        if incremental_enabled() and self._solution_store.covers(
-            SystemMemo.signature(segment), segment.t_start, segment.t_end
-        ):
+        """Exact prediction: the filter is stateless, so the system
+        probed here is the one ``process`` will find in the store.
+        Probes the store already answers predict nothing."""
+        _, system, solution = self._probe_segment(segment)
+        if system is None or solution is not None:
             return []
         return system.row_tasks(segment.t_start, segment.t_end)
 
     def slack_system(self, segment: Segment) -> EquationSystem | None:
         """The equation system for slack computation on a null result."""
-        return self._segment_system(segment)[1]
+        return self._probe_segment(segment)[1]

@@ -72,16 +72,6 @@ class ContinuousGroupBy(ContinuousOperator):
         key = self.group_key(segment)
         return self.group(key).process(segment, port)
 
-    def apply_delta(self, segment: Segment, change=None, port: int = 0) -> list[Segment]:
-        """Route a delta arrival to the owning group's aggregate.
-
-        Change-sets are per key; the group instance carries the only
-        state the change can touch, so delta application never visits
-        (or invalidates) sibling groups.
-        """
-        key = self.group_key(segment)
-        return self.group(key).apply_delta(segment, change, port)
-
     def flush(self) -> list[Segment]:
         out: list[Segment] = []
         for agg in self._groups.values():

@@ -16,22 +16,26 @@ window are evicted.
 
 from __future__ import annotations
 
-from ..batch_solver import incremental_enabled
-from ..delta import LruMemo, SolutionStore
 from ..equation_system import EquationSystem, solve_systems_batch
 from ..predicate import BoolExpr, Literal
 from ..segment import Segment, SegmentBuffer, apply_update_semantics
 from .base import (
     AttributeBinding,
-    ContinuousOperator,
-    SystemMemo,
+    SelectiveOperator,
     merged_constants,
     merged_models,
     partial_evaluate,
 )
 
 
-class ContinuousJoin(ContinuousOperator):
+def _pair_sig(left, right):
+    """Signature of an aligned pair; ``None`` if either side has none."""
+    if left is None or right is None:
+        return None
+    return (left, right)
+
+
+class ContinuousJoin(SelectiveOperator):
     """Two-input selective operator over aligned segment pairs.
 
     Parameters
@@ -64,7 +68,7 @@ class ContinuousJoin(ContinuousOperator):
         index_cell_width: float | None = None,
         name: str = "join",
     ):
-        self.predicate = predicate
+        super().__init__(predicate)
         self.left_alias = left_alias
         self.right_alias = right_alias
         self.window = window
@@ -84,38 +88,15 @@ class ContinuousJoin(ContinuousOperator):
         # increasing reference timestamps (Section II-B), so a side's
         # start watermark bounds where future arrivals can begin.
         self._start_water = [float("-inf"), float("-inf")]
-        #: Count of equation systems instantiated (benchmark hook).
-        self.systems_solved = 0
         #: Count of aligned pairs whose predicate was discretely false.
         self.pairs_rejected_discrete = 0
-        # Two-level compile memo (see SystemMemo): the folded residual
-        # keys on the pair's discrete signature alone — one entry serves
-        # every cross-key pair the equi-key predicate rejects — while
-        # compiled systems key on full content, deduplicating the
-        # prime-then-process double build of the sharded runtime.
-        self._fold_memo = SystemMemo()
-        self._system_memo = SystemMemo()
-        # Identity shortcut over the value memos: segments are immutable
-        # and seg_ids unique, so a (left, right) pair resolves to the
-        # same result forever.  The sharded runtime probes every pair
-        # twice (prime, then process); this makes the second probe a
-        # single memo hit instead of a value-signature hash.
-        self._pair_results: LruMemo = LruMemo(65536, "memo.join_pair")
-        # Incremental (delta) state: solved pair TimeSets keyed by the
-        # pair's content signature.  A re-emitted model probing an
-        # unchanged partner over a covered overlap is served here with
-        # zero row solves; refit content misses by construction.
-        self._solution_store = SolutionStore()
 
     def reset(self) -> None:
+        super().reset()
         for buf in self._buffers:
             buf.clear()
         self._high_water = [float("-inf"), float("-inf")]
         self._start_water = [float("-inf"), float("-inf")]
-        self._fold_memo.clear()
-        self._system_memo.clear()
-        self._pair_results.clear()
-        self._solution_store.clear()
 
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
         if port not in (0, 1):
@@ -138,100 +119,69 @@ class ContinuousJoin(ContinuousOperator):
             )
         return self._join_pairs(pairs)
 
-    def _pair_system(
-        self, left: Segment, right: Segment
-    ) -> tuple[BoolExpr, EquationSystem | None]:
-        """Fold + compile ``predicate`` for a pair, memoized by content.
-
-        Returns ``(residual, system)`` where ``system`` is ``None`` iff
-        the residual folded to a literal.  See :class:`SystemMemo` for
-        why the two keying granularities are exact.
-        """
-        ids = (left.seg_id, right.seg_id)
-        cached = self._pair_results.get(ids)
-        if cached is not None:
-            return cached
-        binding = None
-        fold_sig = SystemMemo.fold_signature(left, right)
-        residual = self._fold_memo.get(fold_sig)
-        if residual is None:
-            binding = AttributeBinding(
-                {self.left_alias: left, self.right_alias: right}
-            )
-            residual = partial_evaluate(self.predicate, binding)
-            self._fold_memo.put(fold_sig, residual)
-        if isinstance(residual, Literal):
-            self._pair_results.put(ids, (residual, None))
-            return residual, None
-        sys_sig = SystemMemo.signature(left, right)
-        system = self._system_memo.get(sys_sig)
-        if system is None:
-            if binding is None:
-                binding = AttributeBinding(
-                    {self.left_alias: left, self.right_alias: right}
-                )
-            system = EquationSystem.from_predicate(
-                residual, binding.resolver()
-            )
-            self._system_memo.put(sys_sig, system)
-        self._pair_results.put(ids, (residual, system))
-        return residual, system
+    def _probe_pair(
+        self, left: Segment, right: Segment, lo: float, hi: float
+    ):
+        """:meth:`_probe` for an aligned pair over its overlap."""
+        return self._probe(
+            {self.left_alias: left, self.right_alias: right},
+            _pair_sig(left.fold_sig, right.fold_sig),
+            _pair_sig(left.content_sig, right.content_sig),
+            lo,
+            hi,
+        )
 
     def _join_pairs(
         self, pairs: list[tuple[Segment, Segment]]
     ) -> list[Segment]:
         """Join many aligned pairs, solving their systems in one batch.
 
-        Under the incremental knob, each pair first consults the
-        solution store by content signature: a covered probe emits from
-        the stored ``TimeSet`` (the ``"cached"`` plan entry) without
-        entering the solve batch at all, and every freshly solved pair
-        is recorded for the next probe of the same content.
+        A pair whose content and overlap the solution store already
+        answers emits from the stored ``TimeSet`` without entering the
+        solve batch; every freshly solved pair is stored for the next
+        probe of the same content.
         """
         jobs: list[tuple[EquationSystem, float, float]] = []
         outputs: list[Segment] = []
-        emit_plan: list[tuple[str, object]] = []
-        # (sig, lo, hi, job index) of fresh solves to record afterwards.
-        store_jobs: list[tuple[object, float, float, int]] = []
-        incremental = incremental_enabled()
+        # (kind, left, right, lo, hi, payload): "whole" emits the
+        # overlap itself, "stored" carries its TimeSet, "solved" the
+        # index of its job in the batch.
+        emit_plan: list[tuple] = []
         for left, right in pairs:
             overlap = left.overlap_range(right)
             if overlap is None:
                 continue
             lo, hi = overlap
-            residual, system = self._pair_system(left, right)
+            residual, system, solution = self._probe_pair(left, right, lo, hi)
             if system is None:
                 if not residual.value:
                     self.pairs_rejected_discrete += 1
                     continue
-                emit_plan.append(("whole", (left, right, lo, hi)))
-                continue
-            if incremental:
-                sig = SystemMemo.signature(left, right)
-                solution = self._solution_store.lookup(sig, lo, hi)
-                if solution is not None:
-                    emit_plan.append(("cached", (left, right, solution)))
-                    continue
-                if sig is not None:
-                    store_jobs.append((sig, lo, hi, len(jobs)))
-            self.systems_solved += 1
-            jobs.append((system, lo, hi))
-            emit_plan.append(("solved", (left, right, len(jobs) - 1)))
+                emit_plan.append(("whole", left, right, lo, hi, None))
+            elif solution is not None:
+                emit_plan.append(("stored", left, right, lo, hi, solution))
+            else:
+                self.systems_solved += 1
+                jobs.append((system, lo, hi))
+                emit_plan.append(
+                    ("solved", left, right, lo, hi, len(jobs) - 1)
+                )
         solutions = solve_systems_batch(jobs) if jobs else []
-        # A raising batch never reaches here, so only successful solves
-        # are recorded (fault/breaker behaviour stays mode-independent).
-        for sig, lo, hi, job in store_jobs:
-            self._solution_store.store(sig, lo, hi, solutions[job])
-        for kind, payload in emit_plan:
+        for kind, left, right, lo, hi, payload in emit_plan:
             if kind == "whole":
-                left, right, lo, hi = payload  # type: ignore[misc]
                 outputs.append(self._emit(left, right, lo, hi))
                 continue
-            if kind == "cached":
-                left, right, solution = payload  # type: ignore[misc]
-            else:
-                left, right, job = payload  # type: ignore[misc]
-                solution = solutions[job]
+            solution = payload
+            if kind == "solved":
+                # A raising batch never reaches here, so only
+                # successful solves are stored: faulted pairs re-fail
+                # on every probe.
+                solution = solutions[payload]
+                self._solution_store.store(
+                    _pair_sig(left.content_sig, right.content_sig),
+                    jobs[payload][0],
+                    (lo, hi, solution),
+                )
             for iv in solution.intervals:
                 outputs.append(self._emit(left, right, iv.lo, iv.hi))
             for p in solution.points:
@@ -314,12 +264,10 @@ class ContinuousJoin(ContinuousOperator):
     ) -> list:
         """Solve tasks for aligning ``segment`` with ``partners``.
 
-        Under the incremental knob, pairs the solution store already
-        covers are not predicted — only genuine delta pairs ship to the
-        prime round.
+        Pairs the solution store already answers are not predicted —
+        only pairs that will really solve ship to the prime round.
         """
         queries: list = []
-        incremental = incremental_enabled()
         for partner in partners:
             left, right = (
                 (segment, partner) if port == 0 else (partner, segment)
@@ -328,12 +276,8 @@ class ContinuousJoin(ContinuousOperator):
             if overlap is None:
                 continue
             lo, hi = overlap
-            residual, system = self._pair_system(left, right)
-            if system is None:
-                continue
-            if incremental and self._solution_store.covers(
-                SystemMemo.signature(left, right), lo, hi
-            ):
+            _, system, solution = self._probe_pair(left, right, lo, hi)
+            if system is None or solution is not None:
                 continue
             queries.extend(system.row_tasks(lo, hi))
         return queries
@@ -352,36 +296,6 @@ class ContinuousJoin(ContinuousOperator):
         if horizon > float("-inf"):
             for buf in self._buffers:
                 buf.evict_before(horizon)
-
-    def _join_pair(self, left: Segment, right: Segment) -> list[Segment]:
-        overlap = left.overlap_range(right)
-        if overlap is None:
-            return []
-        lo, hi = overlap
-        residual, system = self._pair_system(left, right)
-        if system is None:
-            if not residual.value:
-                self.pairs_rejected_discrete += 1
-                return []
-            return [self._emit(left, right, lo, hi)]
-        solution = None
-        sig = None
-        if incremental_enabled():
-            sig = SystemMemo.signature(left, right)
-            solution = self._solution_store.lookup(sig, lo, hi)
-        if solution is None:
-            self.systems_solved += 1
-            solution = system.solve(lo, hi)
-            if sig is not None:
-                # Successful solves only — a raising system never lands
-                # here, so faulted pairs re-fail identically in both modes.
-                self._solution_store.store(sig, lo, hi, solution)
-        outputs: list[Segment] = []
-        for iv in solution.intervals:
-            outputs.append(self._emit(left, right, iv.lo, iv.hi))
-        for p in solution.points:
-            outputs.append(self._emit_point(left, right, p))
-        return outputs
 
     # ------------------------------------------------------------------
     # output construction

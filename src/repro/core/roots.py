@@ -246,8 +246,8 @@ def real_roots(
         lead_zeros += 1
     if len(c) - lead_zeros in (4, 5):
         # Cubics and quartics funnel through the batched kernel as a
-        # one-row batch (closed-form Cardano/Ferrari when enabled, with
-        # its per-row companion fallback).  Every kernel step there is
+        # one-row batch (closed-form Cardano/Ferrari, with its per-row
+        # companion fallback).  Every kernel step there is
         # an elementwise ufunc, so a one-row batch computes exactly
         # what the same row computes inside any larger batch — scalar
         # and batched solves stay bit-identical by construction.

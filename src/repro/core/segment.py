@@ -40,9 +40,8 @@ def ensure_segment_ids_above(watermark: int) -> None:
     """Advance the global id counter past ``watermark``.
 
     Called on snapshot restore: restored segments keep their original
-    ``seg_id`` (identity-keyed operator memos and signature caches rely
-    on per-process uniqueness), so ids issued after the restore must
-    start above everything the snapshot carried.
+    ``seg_id`` (lineage refers to parents by id), so ids issued after
+    the restore must start above everything the snapshot carried.
     """
     global _segment_ids
     current = next(_segment_ids)
@@ -70,7 +69,10 @@ class Segment:
         maintained for query inversion (Section IV-B).
     """
 
-    __slots__ = ("key", "t_start", "t_end", "models", "constants", "seg_id", "lineage")
+    __slots__ = (
+        "key", "t_start", "t_end", "models", "constants", "seg_id", "lineage",
+        "_content_sig", "_fold_sig",
+    )
 
     def __init__(
         self,
@@ -110,8 +112,9 @@ class Segment:
         """Explicit pickling: the immutable ``__setattr__`` blocks the
         default slots protocol, and ``models``/``constants`` are
         mapping proxies.  Durability snapshots round-trip segments
-        through here; ``seg_id`` is preserved so identity-keyed memos
-        survive a restore (see :func:`ensure_segment_ids_above`)."""
+        through here; ``seg_id`` is preserved so lineage stays valid
+        across a restore (see :func:`ensure_segment_ids_above`).  The
+        content signatures are derived and recomputed on demand."""
         return (
             Segment,
             (
@@ -124,6 +127,51 @@ class Segment:
                 self.seg_id,
             ),
         )
+
+    # ------------------------------------------------------------------
+    # content signatures (memo keys of the selective operators)
+    # ------------------------------------------------------------------
+    @property
+    def fold_sig(self) -> tuple | None:
+        """Discrete-only content key: constants plus model *names*.
+
+        The partial-evaluation fold reads only discrete values and
+        name-resolution structure, so this key is exact for a folded
+        residual and is shared by every pair an equi-key predicate
+        rejects discretely.  ``None`` when a constant is unhashable.
+        """
+        try:
+            return self._fold_sig
+        except AttributeError:
+            sig = self._signature(tuple(sorted(self.models)))
+            object.__setattr__(self, "_fold_sig", sig)
+            return sig
+
+    @property
+    def content_sig(self) -> tuple | None:
+        """Full content key: constants plus model coefficients.
+
+        Everything a compiled equation system and its solution depend
+        on except the time domain, so restricted copies (which keep
+        their originals' models) share a key and a refit never does.
+        ``None`` when a constant is unhashable.
+        """
+        try:
+            return self._content_sig
+        except AttributeError:
+            sig = self._signature(
+                tuple(sorted((a, p.coeffs) for a, p in self.models.items()))
+            )
+            object.__setattr__(self, "_content_sig", sig)
+            return sig
+
+    def _signature(self, models_part: tuple) -> tuple | None:
+        sig = (tuple(sorted(self.constants.items())), models_part)
+        try:
+            hash(sig)
+        except TypeError:
+            return None
+        return sig
 
     # ------------------------------------------------------------------
     # temporal accessors

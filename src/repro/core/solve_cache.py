@@ -4,7 +4,7 @@ Joins re-solve byte-identical systems whenever only one side of an
 alignment changes — the same repeated-subcomputation waste DBSP-style
 incremental view maintenance eliminates by memoizing operator deltas.
 :class:`SolveCache` memoizes ``solve_relation`` results keyed on the
-(quantized) coefficient tuple, the relation, and the solving domain;
+coefficient tuple, the relation, and the solving domain;
 values are immutable :class:`~repro.core.intervals.TimeSet` objects, so
 sharing them between callers is safe.
 
@@ -31,8 +31,6 @@ first.  :func:`normalize_zero` is the single place that rule lives.
 
 from __future__ import annotations
 
-import math
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
@@ -69,24 +67,6 @@ def normalize_zero(value: float) -> float:
     if value == 0.0:
         return 0.0
     return value
-
-
-def quantize(value: float, mantissa_bits: int = 0) -> float:
-    """Zero the low ``mantissa_bits`` of a float's mantissa.
-
-    With ``mantissa_bits == 0`` this only canonicalizes ``-0.0`` to
-    ``0.0`` (so byte-identical systems that differ in signed zeros still
-    collide).  Higher values bucket floats within ``2**bits`` ulps so
-    near-identical systems share a cache entry.
-    """
-    if value == 0.0:
-        return 0.0
-    if not math.isfinite(value) or mantissa_bits <= 0:
-        return value
-    (bits,) = struct.unpack("<q", struct.pack("<d", value))
-    bits &= ~((1 << mantissa_bits) - 1)
-    (out,) = struct.unpack("<d", struct.pack("<q", bits))
-    return out
 
 
 @dataclass(frozen=True)
@@ -158,8 +138,6 @@ class SolveCache:
     ----------
     maxsize:
         Entry bound; the least recently used entry is evicted beyond it.
-    mantissa_bits:
-        Key quantization granularity (see :func:`quantize`).
     use_registry:
         When ``True`` (the default) hit/miss/eviction counters live in
         the process-wide :mod:`repro.engine.metrics` registry.  Worker
@@ -168,75 +146,49 @@ class SolveCache:
         a :class:`CacheStats` snapshot instead.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 4096,
-        mantissa_bits: int = 0,
-        use_registry: bool = True,
-    ):
+    def __init__(self, maxsize: int = 4096, use_registry: bool = True):
         if maxsize < 1:
             raise ValueError("cache maxsize must be at least 1")
         self.maxsize = maxsize
-        self.mantissa_bits = mantissa_bits
         self.use_registry = use_registry
         self._entries: OrderedDict[CacheKey, TimeSet] = OrderedDict()
-        # Counter handles are bound once (here or on first use), never
-        # looked up by name on the get/put hot path.
+        # Counter handles are bound once here, never looked up by name
+        # on the get/put hot path.
         if use_registry:
-            self._hits_counter = None
-            self._misses_counter = None
-            self._evictions_counter = None
+            # Imported here so importing repro.core alone never drags
+            # the engine package in at module-import time.
+            from ..engine.metrics import get_counter
+
+            self._hits_counter = get_counter("solve_cache.hits")
+            self._misses_counter = get_counter("solve_cache.misses")
+            self._evictions_counter = get_counter("solve_cache.evictions")
         else:
             self._hits_counter = _LocalCounter()
             self._misses_counter = _LocalCounter()
             self._evictions_counter = _LocalCounter()
 
     # ------------------------------------------------------------------
-    def _bind_counters(self) -> None:
-        # Deferred so importing repro.core alone never drags the
-        # engine package in at module-import time.
-        from ..engine.metrics import get_counter
-
-        self._hits_counter = get_counter("solve_cache.hits")
-        self._misses_counter = get_counter("solve_cache.misses")
-        self._evictions_counter = get_counter("solve_cache.evictions")
-
-    def _counter(self, which: str):
-        """The bound counter handle for ``which`` (hits/misses/evictions).
-
-        Callers on a hot path should fetch the handle once before their
-        loop instead of re-resolving it per event.
-        """
-        if self._hits_counter is None:
-            self._bind_counters()
-        return {
-            "hits": self._hits_counter,
-            "misses": self._misses_counter,
-            "evictions": self._evictions_counter,
-        }[which]
-
-    # ------------------------------------------------------------------
     def key(self, poly: Polynomial, rel: Rel, lo: float, hi: float) -> CacheKey:
         """Cache key for one row solve over ``[lo, hi)``.
 
-        Coefficients and domain bounds are quantized, which also
-        canonicalizes ``-0.0`` to ``0.0`` (see :func:`normalize_zero`).
+        Coefficients and domain bounds canonicalize ``-0.0`` to ``0.0``
+        (see :func:`normalize_zero`), so byte-identical systems that
+        differ only in signed zeros still collide.
         """
-        bits = self.mantissa_bits
-        return (
-            tuple(quantize(c, bits) for c in poly.coeffs),
-            rel,
-            quantize(lo, bits),
-            quantize(hi, bits),
-        )
+        coeffs = poly.coeffs
+        # containment compares with ==, so -0.0 is found; rows with no
+        # zero at all (the common case) skip the per-element rewrite
+        if 0.0 in coeffs:
+            coeffs = tuple(normalize_zero(c) for c in coeffs)
+        return (coeffs, rel, normalize_zero(lo), normalize_zero(hi))
 
     def get(self, key: CacheKey) -> TimeSet | None:
         entry = self._entries.get(key)
         if entry is None:
-            self._counter("misses").bump()
+            self._misses_counter.bump()
             return None
         self._entries.move_to_end(key)
-        self._counter("hits").bump()
+        self._hits_counter.bump()
         return entry
 
     def put(self, key: CacheKey, value: TimeSet) -> None:
@@ -246,7 +198,7 @@ class SolveCache:
         evicted = False
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-            self._counter("evictions").bump()
+            self._evictions_counter.bump()
             evicted = True
         observer = _CACHE_OBSERVER
         if observer is not None:
@@ -264,15 +216,15 @@ class SolveCache:
 
     @property
     def hits(self) -> int:
-        return self._counter("hits").value
+        return self._hits_counter.value
 
     @property
     def misses(self) -> int:
-        return self._counter("misses").value
+        return self._misses_counter.value
 
     @property
     def evictions(self) -> int:
-        return self._counter("evictions").value
+        return self._evictions_counter.value
 
     @property
     def hit_rate(self) -> float:
@@ -400,12 +352,8 @@ def global_solve_cache() -> SolveCache:
     if (
         _GLOBAL_CACHE is None
         or _GLOBAL_CACHE.maxsize != SOLVER_CONFIG.cache_size
-        or _GLOBAL_CACHE.mantissa_bits != SOLVER_CONFIG.cache_mantissa_bits
     ):
-        _GLOBAL_CACHE = SolveCache(
-            maxsize=SOLVER_CONFIG.cache_size,
-            mantissa_bits=SOLVER_CONFIG.cache_mantissa_bits,
-        )
+        _GLOBAL_CACHE = SolveCache(maxsize=SOLVER_CONFIG.cache_size)
     return _GLOBAL_CACHE
 
 

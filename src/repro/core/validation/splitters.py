@@ -28,7 +28,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..batch_solver import (
-    batch_kernel_enabled,
     derivative_matrix,
     horner_rows,
     pad_coefficient_matrix,
@@ -104,11 +103,10 @@ def mean_abs_gradients(inputs: Sequence[SplitInput]) -> list[float]:
     The batched form stacks every input model's derivative coefficients
     into one padded matrix and evaluates all segment midpoints in a
     single column sweep — the same kernel the solver's sign tests use —
-    instead of a Python Horner loop per input.  Falls back to the
-    per-input path when the batch kernel is disabled or there is only
-    one input.
+    instead of a Python Horner loop per input.  A single input takes
+    the per-input path.
     """
-    if len(inputs) < 2 or not batch_kernel_enabled():
+    if len(inputs) < 2:
         return [i.mean_abs_gradient() for i in inputs]
     matrix = derivative_matrix(
         pad_coefficient_matrix([i.poly.coeffs for i in inputs])

@@ -114,17 +114,16 @@ class ParallelSolveDispatcher:
         shard, recorded in :attr:`inline_shards`.
     root_cache_size:
         Bound on the parent-side merged root store.
-    transport:
-        ``"shm"`` (the default) ships pool-shard row batches through
-        ``multiprocessing.shared_memory`` segments — the parent packs
-        contiguous blocks once, workers attach zero-copy, roots come
-        back through a shared result arena, and only scalar bookkeeping
-        crosses the pickle boundary.  ``"pickle"`` forces the legacy
-        ndarray-payload submits (the A/B baseline).  Inline shards
-        always use the in-process payload path: same address space,
-        nothing to ship.  A host where segment allocation fails
-        degrades the dispatcher to pickle transport permanently (the
-        round that hit the failure still completes).
+
+    Transport.  Pool shards ship their row batches through
+    ``multiprocessing.shared_memory`` segments — the parent packs
+    contiguous blocks once, workers attach zero-copy, roots come back
+    through a shared result arena, and only scalar bookkeeping crosses
+    the pickle boundary.  Inline shards use the in-process payload
+    path: same address space, nothing to ship.  A host where segment
+    allocation fails (``OSError``) degrades the dispatcher to pickled
+    ndarray payloads for the rest of the run (the round that hit the
+    failure still completes).
     """
 
     def __init__(
@@ -132,19 +131,13 @@ class ParallelSolveDispatcher:
         num_shards: int,
         parallel: "bool | str" = "auto",
         root_cache_size: int = 65536,
-        transport: str = "shm",
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pickle', got {transport!r}"
-            )
         if parallel == "auto":
             parallel = (os.cpu_count() or 1) > 1
         self.num_shards = num_shards
         self.parallel = bool(parallel) and num_shards > 1
-        self.transport = transport
         #: Set when a segment allocation failed; sticks for the run.
         self._shm_broken = False
         #: Shard rounds shipped via shared memory / bytes they mapped.
@@ -198,11 +191,9 @@ class ParallelSolveDispatcher:
         shard, concurrently across shards.  Returns the number of rows
         shipped.
 
-        Under the incremental solver knob the operators prune upstream:
-        ``prime_tasks`` / ``prime_round`` never predict rows whose
-        solution store already covers the probe (counted as
-        ``delta.store.prime_skips``), so only genuine delta rows reach
-        this dispatch — the payload shrinks with no change here.
+        The operators prune upstream: ``prime_tasks`` / ``prime_round``
+        never predict rows whose solution store already answers the
+        probe, so only rows that will really solve reach this dispatch.
         """
         if self._closed:
             raise RuntimeError("dispatcher is closed")
@@ -291,17 +282,13 @@ class ParallelSolveDispatcher:
     ) -> tuple[object, tuple | None]:
         """Ship one shard round; returns ``(future, segments_or_None)``.
 
-        Pool shards use the shared-memory transport (unless configured
-        or degraded to pickle); inline shards always take the direct
-        payload path — same process, nothing to serialize either way.
+        Pool shards use the shared-memory transport (unless degraded
+        to pickle); inline shards always take the direct payload path —
+        same process, nothing to serialize either way.
         """
         executor = self._executor(shard)
         lengths, lo, hi, coeff_matrix = self._pack_arrays(rows)
-        if (
-            self.transport == "shm"
-            and not self._shm_broken
-            and not isinstance(executor, InlineExecutor)
-        ):
+        if not self._shm_broken and not isinstance(executor, InlineExecutor):
             try:
                 request, arena = shm_transport.pack_round(
                     lengths, lo, hi, coeff_matrix
@@ -429,11 +416,7 @@ class ParallelSolveDispatcher:
         return {
             "num_shards": self.num_shards,
             "parallel": self.parallel,
-            "transport": (
-                "pickle"
-                if self.transport == "pickle" or self._shm_broken
-                else "shm"
-            ),
+            "transport": "pickle" if self._shm_broken else "shm",
             "shm_rounds": self.shm_rounds,
             "shm_bytes_shipped": self.shm_bytes_shipped,
             "inline_shards": sorted(self.inline_shards),

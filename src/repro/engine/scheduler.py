@@ -32,12 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.batch_solver import (
-    incremental_enabled,
-    solve_tasks,
-    task_root_query,
-)
-from ..core.delta import DeltaTracker
+from ..core.batch_solver import solve_tasks, task_root_query
 from ..core.errors import PlanError, PulseError
 
 #: What the per-item fault boundary contains: library failures plus the
@@ -96,11 +91,6 @@ class _Registration:
     #: a tight bound is valid for every looser bound); ``None`` means
     #: the query's own plan bound applies unmodified.
     solve_bound: float | None = None
-    #: Per-query change-set tracker for the incremental (delta) path.
-    #: Derived observability state: not captured in checkpoints — a
-    #: restored runtime re-learns the per-key trailer from the replayed
-    #: arrivals themselves.
-    delta: DeltaTracker = field(default_factory=DeltaTracker)
 
     def __post_init__(self) -> None:
         for stream in self.streams:
@@ -523,23 +513,6 @@ class QueryRuntime:
             if tracer is not None
             else None
         )
-        delta_span = None
-        if (
-            tracer is not None
-            and incremental_enabled()
-            and isinstance(item, Segment)
-            and isinstance(reg.query, TransformedQuery)
-        ):
-            # Classify (pure peek) for the span attributes; the counter
-            # bump happens inside _process_item via observe().
-            change = reg.delta.classify(stream, item)
-            delta_span = tracer.start(
-                "delta_apply", "delta_apply",
-                query=reg.name,
-                change=change.kind,
-                content_changed=change.content_changed,
-                seg_id=item.seg_id,
-            )
         t0 = time.perf_counter()
         try:
             self._process_item(reg, stream, item)
@@ -552,8 +525,6 @@ class QueryRuntime:
             if observing:
                 self._arrival_hist.observe(elapsed)
             if tracer is not None:
-                if delta_span is not None:
-                    tracer.finish(delta_span, outputs=emitted)
                 tracer.event("emit", "emit", outputs=emitted)
                 if flagged:
                     tracer.event(
@@ -629,11 +600,6 @@ class QueryRuntime:
         """Push one item, containing failures per the resilience policy."""
         continuous = isinstance(reg.query, TransformedQuery)
         key = item.key if isinstance(item, Segment) else None
-        if continuous and incremental_enabled() and isinstance(item, Segment):
-            # Record the arrival in the per-query change-set (bumps the
-            # delta.changes.* counters).  Counter bumps are permitted on
-            # the fast path; only tracing calls are pinned to zero.
-            reg.delta.observe(stream, item)
         if (
             continuous
             and self.breaker is not None
@@ -710,8 +676,8 @@ class QueryRuntime:
         wholesale by the snapshot writer), queued-but-unprocessed
         arrivals, undelivered outputs, per-query and runtime counters,
         breaker health, the round-robin cursor, and the global
-        segment-id watermark.  Derived caches (solve cache, signature
-        memos keyed off live objects) are rebuilt by replay instead.
+        segment-id watermark.  Derived caches (solve cache, solution
+        stores) are rebuilt by replay instead.
         """
         return {
             "version": RUNTIME_SNAPSHOT_VERSION,
@@ -753,8 +719,8 @@ class QueryRuntime:
         shards) is not part of the snapshot — build the runtime with
         the desired knobs, then restore into it.  Advances the global
         segment-id counter past the snapshot's watermark so ids issued
-        after the restore never collide with restored segments (the
-        identity-keyed operator memos rely on uniqueness).
+        after the restore never collide with restored segments (lineage
+        refers to parents by id).
         """
         version = state.get("version")
         if version != RUNTIME_SNAPSHOT_VERSION:

@@ -68,9 +68,6 @@ SPAN_KINDS = (
     "ingest",
     "checkpoint",
     "recovery",
-    # Per-arrival change-set application under the incremental knob
-    # (child of "arrival"; attributes carry the classified change kind).
-    "delta_apply",
 )
 
 

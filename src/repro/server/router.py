@@ -242,6 +242,12 @@ class PulseRouter:
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
+            # close() from another thread does not wake a blocked
+            # accept() on Linux; shutting the read side down does.
+            try:
+                self._listener.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -115,3 +115,40 @@ class TestFilter:
         system = f.slack_system(s)
         assert system is not None
         assert system.slack(0, 10) == pytest.approx(5.0, rel=1e-3)
+
+
+class TestLookupBudget:
+    """Where a probe is remembered is one decision: fold memo, then the
+    solution store, then the row-level solve cache — one lookup each."""
+
+    @staticmethod
+    def _lookups(snapshot, *prefixes):
+        return sum(
+            value
+            for name, value in snapshot.items()
+            if name.startswith(prefixes)
+            and name.rsplit(".", 1)[1] in ("hits", "misses", "seam_rejects")
+        )
+
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_probe_costs_two_memo_lookups_and_one_cache_lookup(self, repeat):
+        from repro.core.solve_cache import reset_global_solve_cache
+        from repro.engine.metrics import counter_snapshot, reset_counters
+
+        f = ContinuousFilter(pred("x", Rel.GT, 0.0))
+        reset_global_solve_cache()
+        reset_counters()
+        for i in range(repeat):
+            # fresh content every probe: nothing is served from memory
+            f.process(seg(0, 10, x=[-5.0 - i, 1.0]))
+        snapshot = counter_snapshot()
+        assert self._lookups(snapshot, "memo.", "delta.store.") <= 2 * repeat
+        assert self._lookups(snapshot, "solve_cache.") == repeat
+        assert not [
+            name
+            for name in snapshot
+            if name.startswith(
+                ("memo.content_sig", "memo.fold_sig",
+                 "memo.filter_segment", "memo.join_pair", "memo.system")
+            )
+        ]

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.batch_solver import (
-    batch_kernel_enabled,
     derivative_matrix,
     horner_rows,
     pad_coefficient_matrix,
     real_roots_batch,
-    set_solver_mode,
-    solve_one,
     solve_relation_batch,
-    solver_config,
-    solver_mode,
     vandermonde_values,
 )
 from repro.core.equation_system import EquationSystem, solve_systems_batch
@@ -117,29 +112,6 @@ class TestTrailingZeroRoots:
         assert 0.0 in roots and any(abs(r - 3.0) < 1e-9 for r in roots)
 
 
-class TestSolverModeSwitch:
-    def test_default_is_batch(self):
-        assert solver_config().kernel in ("batch", "scalar")
-
-    def test_scalar_mode_disables_kernel_and_cache(self):
-        with solver_mode("scalar") as cfg:
-            assert not batch_kernel_enabled()
-            assert not cfg.cache_enabled
-        with solver_mode("batch") as cfg:
-            assert batch_kernel_enabled()
-            assert cfg.cache_enabled
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_solver_mode("quantum")
-
-    def test_context_restores_previous_mode(self):
-        before = solver_config().kernel
-        with solver_mode("scalar"):
-            pass
-        assert solver_config().kernel == before
-
-
 class TestRowSolveCounter:
     def test_counter_bumps_per_row(self):
         reset_counters("equation_system.row_solves")
@@ -188,7 +160,3 @@ class TestSolveSystemsBatch:
 
     def test_empty_job_list(self):
         assert solve_systems_batch([]) == []
-
-    def test_solve_one_matches_system_row(self):
-        p = Polynomial([-2.0, 1.0])
-        assert solve_one(p, Rel.LT, 0.0, 10.0) == solve_one(p, Rel.LT, 0.0, 10.0)

@@ -1,23 +1,16 @@
-"""Unit tests for the delta module: LruMemo, SolutionStore, DeltaTracker.
+"""Unit tests for the delta module: LruMemo and SolutionStore.
 
-These pin the invariants the incremental path's correctness rests on:
-bounded LRU recency order with metered eviction, the solution store's
-exact/covered/seam-reject lookup ladder and widest-domain store policy,
-change-set classification, and the pickling contracts (memos keep
-entries, stores drop them, trackers keep the per-key trailer).
+These pin the invariants solution reuse rests on: bounded LRU recency
+order with metered eviction, the solution store's exact/covered/
+seam-reject lookup ladder and widest-domain store policy, the
+compiled-but-unsolved entries the priming pass leaves behind, and the
+pickling contracts (memos keep entries, stores drop them).
 """
 
 import pickle
 
-from repro.core.delta import (
-    SEAM_GUARD,
-    DeltaTracker,
-    LruMemo,
-    SolutionStore,
-)
+from repro.core.delta import SEAM_GUARD, LruMemo, SolutionStore
 from repro.core.intervals import TimeSet
-from repro.core.polynomial import Polynomial
-from repro.core.segment import Segment
 from repro.engine.metrics import get_counter, reset_counters
 
 
@@ -29,10 +22,6 @@ def _clean_metrics():
     reset_counters()
     yield
     reset_counters()
-
-
-def seg(lo, hi, coeffs=(1.0, 2.0), key=("k",)):
-    return Segment(key, lo, hi, {"x": Polynomial(list(coeffs))})
 
 
 # ----------------------------------------------------------------------
@@ -96,160 +85,102 @@ class TestLruMemo:
 # ----------------------------------------------------------------------
 # SolutionStore
 # ----------------------------------------------------------------------
+SYSTEM = object()  # the store never looks inside what it is handed
+
+
 class TestSolutionStore:
+    def test_unknown_content_is_none(self):
+        store = SolutionStore()
+        assert store.lookup("sig", 0.0, 4.0) is None
+        assert store.lookup(None, 0.0, 4.0) is None
+        assert get_counter("delta.store.misses").value == 2
+
     def test_exact_domain_hit_is_verbatim(self):
         store = SolutionStore()
         sol = TimeSet.interval(1.0, 2.0)
-        store.store("sig", 0.0, 4.0, sol)
-        got = store.lookup("sig", 0.0, 4.0)
-        assert got is sol
+        store.store("sig", SYSTEM, (0.0, 4.0, sol))
+        system, got = store.lookup("sig", 0.0, 4.0)
+        assert system is SYSTEM and got is sol
         assert get_counter("delta.store.hits").value == 1
 
     def test_covered_probe_returns_clip(self):
         store = SolutionStore()
-        store.store("sig", 0.0, 10.0, TimeSet.interval(1.0, 9.0))
-        got = store.lookup("sig", 2.0, 8.0)
-        assert got == TimeSet.interval(2.0, 8.0)
+        store.store("sig", SYSTEM, (0.0, 10.0, TimeSet.interval(1.0, 9.0)))
+        assert store.lookup("sig", 2.0, 8.0) == (
+            SYSTEM, TimeSet.interval(2.0, 8.0)
+        )
 
-    def test_uncovered_probe_misses(self):
+    def test_uncovered_probe_keeps_the_system(self):
         store = SolutionStore()
-        store.store("sig", 0.0, 4.0, TimeSet.interval(1.0, 2.0))
-        assert store.lookup("sig", 2.0, 6.0) is None
-        assert store.lookup("other", 0.0, 4.0) is None
-        assert get_counter("delta.store.misses").value == 2
+        store.store("sig", SYSTEM, (0.0, 4.0, TimeSet.interval(1.0, 2.0)))
+        assert store.lookup("sig", 2.0, 6.0) == (SYSTEM, None)
+        assert get_counter("delta.store.misses").value == 1
+        assert get_counter("delta.store.hits").value == 0
+
+    def test_compiled_only_entry_serves_the_system(self):
+        # What the priming pass leaves for the processing pass.
+        store = SolutionStore()
+        store.store("sig", SYSTEM)
+        assert store.lookup("sig", 0.0, 4.0) == (SYSTEM, None)
+        sol = TimeSet.interval(1.0, 2.0)
+        store.store("sig", SYSTEM, (0.0, 4.0, sol))
+        assert store.lookup("sig", 0.0, 4.0) == (SYSTEM, sol)
+        # A later compile-only store never drops a solved domain.
+        store.store("sig", SYSTEM)
+        assert store.lookup("sig", 0.0, 4.0) == (SYSTEM, sol)
+
+    def test_unhashable_content_is_never_stored(self):
+        store = SolutionStore()
+        store.store(None, SYSTEM, (0.0, 4.0, TimeSet.empty()))
+        assert len(store) == 0
 
     def test_seam_guard_rejects_near_boundary_features(self):
         store = SolutionStore()
         # Stored solution has an endpoint a hair inside the probe seam:
         # clipping it is exactly the case where the clipped set could
         # diverge from a direct solve, so the store must refuse.
-        store.store("sig", 0.0, 10.0, TimeSet.interval(1.0, 5.0))
+        store.store("sig", SYSTEM, (0.0, 10.0, TimeSet.interval(1.0, 5.0)))
         near = 1.0 + SEAM_GUARD / 2
-        assert store.lookup("sig", near, 8.0) is None
+        assert store.lookup("sig", near, 8.0) == (SYSTEM, None)
         assert get_counter("delta.store.seam_rejects").value == 1
         # Far from every stored feature the clip is safe.
-        assert store.lookup("sig", 2.0, 8.0) is not None
+        assert store.lookup("sig", 2.0, 8.0)[1] is not None
 
     def test_widest_domain_wins(self):
         store = SolutionStore()
-        store.store("sig", 2.0, 6.0, TimeSet.interval(3.0, 4.0))
+        store.store("sig", SYSTEM, (2.0, 6.0, TimeSet.interval(3.0, 4.0)))
         # Narrower domain for the same sig is ignored...
-        store.store("sig", 3.0, 5.0, TimeSet.interval(3.0, 4.0))
-        assert store.lookup("sig", 2.0, 6.0) is not None
+        store.store("sig", SYSTEM, (3.0, 5.0, TimeSet.interval(3.0, 4.0)))
+        assert store.lookup("sig", 2.0, 6.0)[1] is not None
         # ...a wider one replaces the entry.
-        store.store("sig", 0.0, 8.0, TimeSet.interval(3.0, 4.0))
-        assert store.lookup("sig", 1.0, 7.0) == TimeSet.interval(3.0, 4.0)
+        store.store("sig", SYSTEM, (0.0, 8.0, TimeSet.interval(3.0, 4.0)))
+        assert store.lookup("sig", 1.0, 7.0)[1] == TimeSet.interval(3.0, 4.0)
 
     def test_shifted_domain_replaces_entry(self):
         store = SolutionStore()
-        store.store("sig", 0.0, 4.0, TimeSet.interval(1.0, 2.0))
-        store.store("sig", 2.0, 6.0, TimeSet.interval(3.0, 4.0))
+        store.store("sig", SYSTEM, (0.0, 4.0, TimeSet.interval(1.0, 2.0)))
+        store.store("sig", SYSTEM, (2.0, 6.0, TimeSet.interval(3.0, 4.0)))
         # The old domain is gone; the new one serves.
-        assert store.lookup("sig", 0.0, 4.0) is None
-        assert store.lookup("sig", 2.0, 6.0) == TimeSet.interval(3.0, 4.0)
-
-    def test_covers_is_read_only_and_counts_prime_skips(self):
-        store = SolutionStore()
-        store.store("sig", 0.0, 10.0, TimeSet.interval(1.0, 9.0))
-        assert store.covers("sig", 2.0, 8.0)
-        assert not store.covers("sig", 2.0, 12.0)
-        assert not store.covers("nope", 2.0, 8.0)
-        assert get_counter("delta.store.prime_skips").value == 1
-        # covers() never bumps hit/miss accounting.
-        assert get_counter("delta.store.hits").value == 0
-        assert get_counter("delta.store.misses").value == 0
+        assert store.lookup("sig", 0.0, 4.0) == (SYSTEM, None)
+        assert store.lookup("sig", 2.0, 6.0)[1] == TimeSet.interval(3.0, 4.0)
 
     def test_lru_eviction_bounded(self):
         store = SolutionStore(maxsize=2)
-        store.store("a", 0.0, 1.0, TimeSet.empty())
-        store.store("b", 0.0, 1.0, TimeSet.empty())
-        store.store("c", 0.0, 1.0, TimeSet.empty())
+        store.store("a", SYSTEM, (0.0, 1.0, TimeSet.empty()))
+        store.store("b", SYSTEM, (0.0, 1.0, TimeSet.empty()))
+        store.store("c", SYSTEM, (0.0, 1.0, TimeSet.empty()))
         assert len(store) == 2
         assert store.lookup("a", 0.0, 1.0) is None
         assert get_counter("delta.store.evictions").value == 1
 
     def test_pickles_empty(self):
-        # TimeSets and solver state are derived caches: a restored
+        # Compiled systems and TimeSets are derived caches: a restored
         # runtime rebuilds them from replayed arrivals, so the store
         # ships no entries through a snapshot.
         store = SolutionStore()
-        store.store("sig", 0.0, 4.0, TimeSet.interval(1.0, 2.0))
+        store.store("sig", SYSTEM, (0.0, 4.0, TimeSet.interval(1.0, 2.0)))
         clone = pickle.loads(pickle.dumps(store))
         assert len(clone) == 0
         assert clone.maxsize == store.maxsize
-        clone.store("sig", 0.0, 4.0, TimeSet.interval(1.0, 2.0))
-        assert clone.lookup("sig", 0.0, 4.0) is not None
-
-
-# ----------------------------------------------------------------------
-# DeltaTracker
-# ----------------------------------------------------------------------
-class TestDeltaTracker:
-    def test_first_arrival_is_added(self):
-        tracker = DeltaTracker()
-        change = tracker.observe("s", seg(0.0, 2.0))
-        assert change.kind == "added"
-        assert change.content_changed
-        assert change.retired_seg_id is None
-
-    def test_same_content_reemission_classified(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0, coeffs=(1.0, 2.0)))
-        change = tracker.observe("s", seg(2.0, 4.0, coeffs=(1.0, 2.0)))
-        assert change.kind == "reemitted"
-        assert not change.content_changed
-
-    def test_new_content_is_refit(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0, coeffs=(1.0, 2.0)))
-        change = tracker.observe("s", seg(2.0, 4.0, coeffs=(9.0, 9.0)))
-        assert change.kind == "refit"
-        assert change.content_changed
-
-    def test_overlapping_successor_retires_predecessor(self):
-        tracker = DeltaTracker()
-        first = seg(0.0, 4.0)
-        tracker.observe("s", first)
-        change = tracker.observe("s", seg(2.0, 6.0, coeffs=(9.0, 9.0)))
-        assert change.retired_seg_id == first.seg_id
-        assert get_counter("delta.changes.retired").value == 1
-
-    def test_keys_and_streams_tracked_independently(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0, key=("a",)))
-        change = tracker.observe("s", seg(0.0, 2.0, key=("b",)))
-        assert change.kind == "added"
-        other = tracker.observe("t", seg(2.0, 4.0, key=("a",)))
-        assert other.kind == "added"
-
-    def test_classify_is_pure(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0))
-        before = get_counter("delta.changes.reemitted").value
-        nxt = seg(2.0, 4.0)
-        first = tracker.classify("s", nxt)
-        second = tracker.classify("s", nxt)
-        assert first == second
-        assert get_counter("delta.changes.reemitted").value == before
-
-    def test_change_counters(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0))
-        tracker.observe("s", seg(2.0, 4.0))
-        tracker.observe("s", seg(4.0, 6.0, coeffs=(7.0,)))
-        assert get_counter("delta.changes.added").value == 1
-        assert get_counter("delta.changes.reemitted").value == 1
-        assert get_counter("delta.changes.refit").value == 1
-
-    def test_pickle_keeps_trailer(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0))
-        clone = pickle.loads(pickle.dumps(tracker))
-        change = clone.observe("s", seg(2.0, 4.0))
-        assert change.kind == "reemitted"
-
-    def test_reset_forgets(self):
-        tracker = DeltaTracker()
-        tracker.observe("s", seg(0.0, 2.0))
-        tracker.reset()
-        assert tracker.observe("s", seg(2.0, 4.0)).kind == "added"
+        clone.store("sig", SYSTEM, (0.0, 4.0, TimeSet.interval(1.0, 2.0)))
+        assert clone.lookup("sig", 0.0, 4.0)[1] is not None

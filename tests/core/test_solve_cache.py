@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from repro.core.batch_solver import SOLVER_CONFIG, solve_tasks, solver_mode
+from repro.core.batch_solver import SOLVER_CONFIG, solve_tasks
 from repro.core.intervals import TimeSet
 from repro.core.polynomial import Polynomial
 from repro.core.relation import Rel
 from repro.core.solve_cache import (
     SolveCache,
     global_solve_cache,
-    quantize,
     reset_global_solve_cache,
 )
 from repro.engine.metrics import reset_counters
@@ -26,29 +25,6 @@ def fresh_cache_state():
     yield
     reset_counters(*COUNTERS)
     reset_global_solve_cache()
-
-
-class TestQuantize:
-    def test_exact_mode_is_identity_for_nonzero(self):
-        for v in (1.0, -3.5, 1e-300, math.pi, math.inf, -math.inf):
-            assert quantize(v, 0) == v
-
-    def test_negative_zero_canonicalized(self):
-        q = quantize(-0.0, 0)
-        assert q == 0.0 and math.copysign(1.0, q) == 1.0
-
-    def test_masking_collapses_nearby_floats(self):
-        a = 1.0
-        b = math.nextafter(1.0, 2.0)
-        assert quantize(a, 0) != quantize(b, 0)
-        assert quantize(a, 4) == quantize(b, 4)
-
-    def test_masking_keeps_distant_floats_apart(self):
-        assert quantize(1.0, 8) != quantize(1.5, 8)
-
-    def test_nonfinite_passthrough(self):
-        assert quantize(math.inf, 16) == math.inf
-        assert math.isnan(quantize(math.nan, 16))
 
 
 class TestSolveCache:
@@ -87,12 +63,14 @@ class TestSolveCache:
         k1 = cache.key(Polynomial([0.0, 1.0]), Rel.LT, -0.0, 1.0)
         k2 = cache.key(Polynomial([-0.0, 1.0]), Rel.LT, 0.0, 1.0)
         assert k1 == k2
+        # ...and the stored key reprs the same whichever arrived first.
+        assert repr(k1) == repr(k2)
 
-    def test_quantized_keys_collide(self):
-        cache = SolveCache(maxsize=4, mantissa_bits=8)
+    def test_nearby_floats_do_not_collide(self):
+        cache = SolveCache(maxsize=4)
         p1 = Polynomial([1.0, 1.0])
         p2 = Polynomial([math.nextafter(1.0, 2.0), 1.0])
-        assert cache.key(p1, Rel.LT, 0.0, 1.0) == cache.key(p2, Rel.LT, 0.0, 1.0)
+        assert cache.key(p1, Rel.LT, 0.0, 1.0) != cache.key(p2, Rel.LT, 0.0, 1.0)
 
     def test_distinct_relations_do_not_collide(self):
         cache = SolveCache(maxsize=4)
@@ -121,32 +99,22 @@ class TestGlobalCacheWiring:
             (Polynomial([-2.0, 1.0]), Rel.LT, 0.0, 10.0),
             (Polynomial([-4.0, 0.0, 1.0]), Rel.GE, 0.0, 10.0),
         ]
-        with solver_mode("batch"):
-            cold = solve_tasks(tasks)
-            cache = global_solve_cache()
-            assert cache.misses == len(tasks) and cache.hits == 0
-            warm = solve_tasks(tasks)
-            assert cache.hits == len(tasks)
+        cold = solve_tasks(tasks)
+        cache = global_solve_cache()
+        assert cache.misses == len(tasks) and cache.hits == 0
+        warm = solve_tasks(tasks)
+        assert cache.hits == len(tasks)
         assert cold == warm
 
     def test_intra_batch_duplicates_hit_once_solved(self):
         task = (Polynomial([-2.0, 1.0]), Rel.LT, 0.0, 10.0)
-        with solver_mode("batch"):
-            a, b = solve_tasks([task, task])
-            cache = global_solve_cache()
+        a, b = solve_tasks([task, task])
+        cache = global_solve_cache()
         assert a == b
         # The duplicate never reaches the kernel twice: one miss fills
         # the entry the second task reads.
         assert cache.misses + cache.hits == 2
         assert cache.misses == 1
-
-    def test_scalar_mode_bypasses_cache(self):
-        task = (Polynomial([-2.0, 1.0]), Rel.LT, 0.0, 10.0)
-        with solver_mode("scalar"):
-            solve_tasks([task])
-            solve_tasks([task])
-            cache = global_solve_cache()
-        assert cache.hits == 0 and cache.misses == 0
 
     def test_global_cache_tracks_config(self):
         first = global_solve_cache()

@@ -13,6 +13,7 @@ import os
 import pickle
 import random
 import struct
+from contextlib import nullcontext
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.engine.wal import (
     wal_last_seq,
 )
 from repro.query import parse_query, plan_query
+from tests.oracles import full_resolve
 
 
 @pytest.fixture(autouse=True)
@@ -429,7 +431,16 @@ class TestRuntimeRecovery:
         with pytest.raises(PlanError):
             rt.restore()
 
-    def test_crash_replay_is_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("resolve", [nullcontext, full_resolve])
+    def test_crash_replay_is_bit_exact(self, tmp_path, resolve):
+        """Solution stores pickle *empty* (derived caches) and the fold
+        memos keep their entries but rebind counter handles: a restored
+        runtime must still reconverge with a never-died reference —
+        as the engine runs, and under the full re-solve oracle."""
+        with resolve():
+            self._crash_replay(tmp_path)
+
+    def _crash_replay(self, tmp_path):
         trace = make_trace()
         crash_at = 27
 
@@ -483,71 +494,6 @@ class TestRuntimeRecovery:
         assert dict(reborn.stats()) == ref_stats
         reborn.close()
         ref.close()
-
-    def test_crash_replay_bit_exact_with_incremental(self, tmp_path):
-        """The delta path survives checkpoint/restore bit-exactly.
-
-        The solution stores pickle *empty* (derived caches) and the
-        memos keep their entries but rebind counter handles lazily — a
-        restored runtime must still reconverge with a never-died
-        reference, both running with the incremental knob on.
-        """
-        from repro.core.batch_solver import incremental_mode
-        from repro.core.solve_cache import (
-            reset_global_solve_cache,
-            reset_worker_root_cache,
-        )
-
-        trace = make_trace()
-        crash_at = 27
-        with incremental_mode(True):
-            reset_global_solve_cache()
-            reset_worker_root_cache()
-            ref = self._runtime()
-            for item in trace[:crash_at]:
-                ref.enqueue("s", item)
-            ref.run_until_idle()
-            for name in ref.query_names:
-                ref.outputs(name)  # drain pre-crash outputs
-            for item in trace[crash_at:]:
-                ref.enqueue("s", item)
-            ref.run_until_idle()
-            ref_outputs = {n: ref.outputs(n) for n in ref.query_names}
-            ref_stats = dict(ref.stats())
-
-            reset_global_solve_cache()
-            reset_worker_root_cache()
-            victim = self._runtime(tmp_path)
-            for item in trace[:15]:
-                victim.enqueue("s", item)
-            victim.run_until_idle()
-            victim.checkpoint()
-            for item in trace[15:crash_at]:
-                victim.enqueue("s", item)
-            victim.run_until_idle()
-            victim._durability.wal.sync()
-
-            reset_global_solve_cache()
-            reset_worker_root_cache()
-            reborn = self._runtime(tmp_path)
-            report = reborn.restore()
-            assert report.recovered_seq == crash_at
-            for item in trace[crash_at:]:
-                reborn.enqueue("s", item)
-            reborn.run_until_idle()
-
-            for name in ref_outputs:
-                got = reborn.outputs(name)
-                assert len(got) == len(ref_outputs[name])
-                for a, b in zip(got, ref_outputs[name]):
-                    assert a.key == b.key
-                    assert a.t_start == b.t_start and a.t_end == b.t_end
-                    assert {
-                        k: p.coeffs for k, p in a.models.items()
-                    } == {k: p.coeffs for k, p in b.models.items()}
-            assert dict(reborn.stats()) == ref_stats
-            reborn.close()
-            ref.close()
 
     def test_restore_from_genesis_replays_everything(self, tmp_path):
         trace = make_trace(n=10)

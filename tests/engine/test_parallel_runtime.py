@@ -19,7 +19,7 @@ from repro.core.batch_solver import (
     set_roots_dispatch,
     task_root_query,
 )
-from repro.core.equation_system import DifferenceRow, EquationSystem
+from repro.core.equation_system import EquationSystem
 from repro.core.expr import Attr, Const
 from repro.core.polynomial import Polynomial
 from repro.core.predicate import And, Comparison
@@ -327,15 +327,18 @@ class TestCounterBinding:
         monkeypatch.setattr(eqs, "_row_solve_counter", None)  # force rebind
         reset_counters("equation_system.row_solves")
 
-        row = DifferenceRow(Polynomial([-1.0, 1.0]), Rel.GT)
+        system = EquationSystem.from_predicate(
+            Comparison(Attr("x"), Rel.GT, Const(1.0)),
+            {"x": Polynomial([0.0, 1.0])}.__getitem__,
+        )
         n = 64
         for i in range(n):
-            row.solve(0.0, 2.0 + 0.001 * i)
+            system.solve(0.0, 2.0 + 0.001 * i)
 
         assert counter_snapshot("equation_system")[
             "equation_system.row_solves"
         ] == n
-        # One bind for row_solves; the solve-cache handles bind lazily
+        # One bind for row_solves; the solve-cache handles bind once
         # too, so allow their one-time registration — but nothing may
         # scale with n.
         assert lookups.count("equation_system.row_solves") == 1
@@ -413,13 +416,19 @@ def random_trace(seed, keys=("a", "b", "c"), rows_per_key=6, degree=4):
     return events
 
 
-def drive(num_shards, events, fault_rate=0.0, breaker=None):
-    """Run one trace through a fresh runtime; return comparable state."""
+def drive(num_shards, events, fault_rate=0.0, breaker=None, parallel=False):
+    """Run one trace through a fresh runtime; return comparable state.
+
+    Shards run inline unless ``parallel`` says otherwise, so what these
+    cases compare does not depend on the host's core count.
+    """
     reset_global_solve_cache()
     reset_worker_root_cache()
     reset_counters()
     kw = {} if breaker is None else {"breaker": breaker}
-    rt = QueryRuntime(num_shards=num_shards, batch_size=32, **kw)
+    rt = QueryRuntime(
+        num_shards=num_shards, batch_size=32, parallel=parallel, **kw
+    )
     try:
         rt.register(
             "filt", to_continuous_plan(plan_query(parse_query(FILT_SQL)))
@@ -480,6 +489,15 @@ class TestSerialShardParity:
         assert shard_out == serial_out
         assert shard_counters == serial_counters
 
+    def test_process_pools_match_serial_outputs(self):
+        # The one case that forces real worker processes on every host.
+        # Outputs only: counters that ride home from pool workers are
+        # not part of the parity contract.
+        events = random_trace(1)
+        serial_out, _ = drive(1, events)
+        pooled_out, _ = drive(2, events, parallel=True)
+        assert pooled_out == serial_out
+
     @pytest.mark.parametrize("num_shards", [2, 3])
     def test_breaker_tripping_trace_stays_identical(self, num_shards):
         events = random_trace(7, rows_per_key=4)
@@ -527,7 +545,7 @@ class TestSerialShardParity:
         reset_global_solve_cache()
         reset_worker_root_cache()
         reset_counters()
-        rt = QueryRuntime(num_shards=2, batch_size=16)
+        rt = QueryRuntime(num_shards=2, batch_size=16, parallel=False)
         try:
             rt.register(
                 "join",

@@ -183,31 +183,50 @@ class TestSegmentLifecycle:
 
 
 class TestDegradation:
-    def test_falls_back_to_pickle_when_shm_unavailable(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise OSError("no /dev/shm in this container")
+    """Pickled payloads are the automatic fallback, reached only by
+    shared-memory segment creation failing with ``OSError``."""
 
-        monkeypatch.setattr(shm_transport, "pack_round", broken)
+    @pytest.mark.parametrize("fail_on", [1, 2], ids=["request", "arena"])
+    def test_falls_back_to_pickle_when_shm_unavailable(
+        self, monkeypatch, fail_on
+    ):
+        real = shm_transport.shared_memory.SharedMemory
+        created = []
+
+        def flaky(*args, create=False, **kwargs):
+            if create:
+                created.append(kwargs.get("name"))
+                if len(created) >= fail_on:
+                    raise OSError("no /dev/shm in this container")
+            return real(*args, create=create, **kwargs)
+
+        monkeypatch.setattr(
+            shm_transport.shared_memory, "SharedMemory", flaky
+        )
         rows = _rows(n=20)
         dispatcher = ParallelSolveDispatcher(2, parallel=True)
         try:
             primed = dispatcher.prime({0: rows[:10], 1: rows[10:]})
             assert primed == len(rows)
-            assert dispatcher._shm_broken or dispatcher.inline_shards
-            assert dispatcher.stats()["transport"] in ("pickle", "shm")
             if not dispatcher.inline_shards:
                 # Pool shards actually hit the broken allocator: the
                 # degradation must stick and be reported honestly.
                 assert dispatcher._shm_broken
                 assert dispatcher.stats()["transport"] == "pickle"
                 assert dispatcher.shm_rounds == 0
+                # One failed allocation, then no further attempts.
+                assert len(created) == fail_on
+            # The fallback moved the same bytes: every primed row is
+            # served from the root store, equal to the in-process kernel.
+            items = [(Polynomial(list(c)), lo, hi) for c, lo, hi in rows]
+            before = dispatcher.root_store_stats()
+            assert dispatcher.dispatch_roots(items) == real_roots_rows(rows)
+            after = dispatcher.root_store_stats()
+            assert after.hits - before.hits == len(rows)
         finally:
             dispatcher.shutdown()
+        # A request segment allocated before the arena failed is unlinked.
         assert shm_transport.active_segments() == []
-
-    def test_transport_name_validated(self):
-        with pytest.raises(ValueError):
-            ParallelSolveDispatcher(2, transport="carrier-pigeon")
 
 
 # ----------------------------------------------------------------------

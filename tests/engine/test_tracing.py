@@ -61,7 +61,9 @@ def _run_runtime(num_shards=1, budget_s=None, events=None):
     reset_global_solve_cache()
     reset_worker_root_cache()
     reset_counters()
-    rt = QueryRuntime(num_shards=num_shards, slow_solve_budget_s=budget_s)
+    rt = QueryRuntime(
+        num_shards=num_shards, parallel=False, slow_solve_budget_s=budget_s
+    )
     try:
         rt.register(
             "filt",

@@ -38,6 +38,7 @@ from repro.engine.metrics import reset_counters
 from repro.engine.scheduler import QueryRuntime
 from repro.engine.tracing import TraceError, build_span_tree, read_trace
 from repro.query import parse_query, plan_query
+from tests.oracles import full_resolve
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -95,7 +96,10 @@ def run_traced_scenario(sql: str, num_shards: int, trace_path) -> list[dict]:
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
     with tracing.observability(str(trace_path)):
-        rt = QueryRuntime(num_shards=num_shards)
+        # Inline shards: spans recorded inside pool workers never reach
+        # this process's trace, so a golden must not depend on the
+        # host's core count.
+        rt = QueryRuntime(num_shards=num_shards, parallel=False)
         try:
             rt.register("q", to_continuous_plan(planned))
             for stream, seg in _trace_events():
@@ -148,17 +152,17 @@ def _multisub_tuples():
     ]
 
 
-def run_multisub_scenario(trace_path, incremental: bool = False):
+def run_multisub_scenario(trace_path, oracle: bool = False):
     """Two bounds, one shared graph, driven through the bridge.
 
     A loose (0.2) subscriber joins first, then a tight (0.05) one —
     exactly one retighten, performed while the fitting builders are
     still empty, so the span stream stays fully deterministic.  Returns
     ``(normalized_spans_or_None, per_subscription_canonical_outputs)``.
+    ``oracle`` runs under the full re-solve oracle.
     """
     import contextlib
 
-    from repro.core.batch_solver import incremental_mode
     from repro.engine.tuples import StreamTuple
     from repro.server.bridge import EngineBridge, FitSpec
 
@@ -177,7 +181,7 @@ def run_multisub_scenario(trace_path, incremental: bool = False):
         else contextlib.nullcontext()
     )
     tuples = [StreamTuple(t) for t in _multisub_tuples()]
-    with incremental_mode(incremental), ctx:
+    with full_resolve() if oracle else contextlib.nullcontext(), ctx:
         bridge = EngineBridge(on_outputs=on_outputs)
         bridge.start()
         try:
@@ -225,11 +229,11 @@ def test_multisub_trace_matches_golden(tmp_path, update_goldens):
     )
 
 
-def test_multisub_incremental_output_parity():
-    """The shared-graph fan-out must be mode-independent too."""
-    _, full = run_multisub_scenario(None, incremental=False)
-    _, incr = run_multisub_scenario(None, incremental=True)
-    assert incr == full
+def test_multisub_full_resolve_output_parity():
+    """The shared-graph fan-out must equal the full re-solve oracle too."""
+    _, full = run_multisub_scenario(None, oracle=True)
+    _, out = run_multisub_scenario(None)
+    assert out == full
     assert set(full) == {1, 2}
 
 
@@ -246,17 +250,17 @@ def _canon_outputs(outputs):
     ]
 
 
-def _run_outputs(sql: str, num_shards: int, incremental: bool):
+def _run_outputs(sql: str, num_shards: int, oracle: bool):
     """Run one scenario's workload untraced; return value-canonical outputs."""
-    from repro.core.batch_solver import incremental_mode
+    import contextlib
 
     reset_global_solve_cache()
     reset_worker_root_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
-    with incremental_mode(incremental):
-        rt = QueryRuntime(num_shards=num_shards)
+    with full_resolve() if oracle else contextlib.nullcontext():
+        rt = QueryRuntime(num_shards=num_shards, parallel=False)
         try:
             rt.register("q", to_continuous_plan(planned))
             for stream, seg in _trace_events():
@@ -266,31 +270,20 @@ def _run_outputs(sql: str, num_shards: int, incremental: bool):
             outputs = rt.outputs("q")
         finally:
             rt.close()
-    return [
-        (
-            s.key,
-            s.t_start,
-            s.t_end,
-            {a: p.coeffs for a, p in sorted(s.models.items())},
-            tuple(sorted(s.constants.items())),
-        )
-        for s in outputs
-    ]
+    return _canon_outputs(outputs)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_incremental_output_parity(scenario):
-    """The incremental knob must not change a single output value.
+def test_full_resolve_output_parity(scenario):
+    """The solution store must not change a single output value.
 
-    The span goldens above run with the knob off (its default); this
-    gate runs every golden workload in both modes and compares the
-    output streams by value — the delta path's contract is bit-exact
-    equality with the full re-solve oracle.
+    Every golden workload runs as the engine runs it and under the full
+    re-solve oracle, and the output streams are compared by value — the
+    store's contract is bit-exact equality with solving every probe.
     """
     sql, num_shards = SCENARIOS[scenario]
-    full = _run_outputs(sql, num_shards, incremental=False)
-    incr = _run_outputs(sql, num_shards, incremental=True)
-    assert incr == full
+    full = _run_outputs(sql, num_shards, oracle=True)
+    assert _run_outputs(sql, num_shards, oracle=False) == full
 
 
 def test_goldens_have_no_strays():

@@ -15,7 +15,6 @@ from repro.core.batch_solver import (
     real_roots_batch,
     solve_relation_batch,
     solve_tasks,
-    solver_mode,
 )
 from repro.core.errors import SolverError, SolverFailure
 from repro.core.expr import Attr, Const
@@ -26,6 +25,7 @@ from repro.core.predicate import And, Comparison, Not, Or
 from repro.core.relation import Rel
 from repro.core.roots import real_roots, solve_relation
 from repro.core.solve_cache import reset_global_solve_cache
+from tests.oracles import scalar_solve_tasks, scalar_system_solve
 
 coeff = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -75,13 +75,10 @@ def test_solve_tasks_cache_round_trip_is_exact(items, domain):
     lo, hi = domain
     tasks = [(p, rel, lo, hi) for p, rel in items]
     reset_global_solve_cache()
-    with solver_mode("batch"):
-        cold = solve_tasks(tasks)
-        warm = solve_tasks(tasks)
+    cold = solve_tasks(tasks)
+    warm = solve_tasks(tasks)
     assert cold == warm
-    with solver_mode("scalar"):
-        scalar = solve_tasks(tasks)
-    assert cold == scalar
+    assert cold == scalar_solve_tasks(tasks)
 
 
 @given(
@@ -92,7 +89,8 @@ def test_solve_tasks_cache_round_trip_is_exact(items, domain):
 )
 @settings(max_examples=150)
 def test_equation_system_solve_parity(p1, p2, rel1, rel2):
-    """Full-system solve: batch and scalar modes emit identical TimeSets."""
+    """Full-system solve: the engine and the scalar oracle emit identical
+    TimeSets."""
     models = {"p1": p1, "p2": p2}
     pred = Or(
         And(
@@ -102,12 +100,8 @@ def test_equation_system_solve_parity(p1, p2, rel1, rel2):
         Not(Comparison(Attr("p1"), rel2, Const(0.0))),
     )
     system = EquationSystem.from_predicate(pred, models.__getitem__)
-    with solver_mode("batch") as cfg:
-        cfg.cache_enabled = False
-        batched = system.solve(*DOMAIN)
-    with solver_mode("scalar"):
-        scalar = system.solve(*DOMAIN)
-    assert batched == scalar
+    reset_global_solve_cache()
+    assert system.solve(*DOMAIN) == scalar_system_solve(system, *DOMAIN)
 
 
 @given(st.lists(coeff, min_size=2, max_size=5).map(Polynomial), all_rels)
@@ -116,12 +110,8 @@ def test_single_row_system_parity(p, rel):
     models = {"p": p}
     pred = Comparison(Attr("p"), rel, Const(0.0))
     system = EquationSystem.from_predicate(pred, models.__getitem__)
-    with solver_mode("batch") as cfg:
-        cfg.cache_enabled = False
-        batched = system.solve(*DOMAIN)
-    with solver_mode("scalar"):
-        scalar = system.solve(*DOMAIN)
-    assert batched == scalar
+    reset_global_solve_cache()
+    assert system.solve(*DOMAIN) == scalar_system_solve(system, *DOMAIN)
 
 
 # ----------------------------------------------------------------------

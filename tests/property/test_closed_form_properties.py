@@ -13,8 +13,8 @@ Three contracts, checked against independent referees:
   scalar-delegates-to-batch parity scheme rests on), and hand
   non-finite rows to the companion eigensolve
   (``closed_form_stats`` fallback accounting);
-* the dispatcher yields the same final root lists with
-  ``SOLVER_CONFIG.closed_form`` on and off for well-separated roots.
+* the dispatcher yields the same final root lists as the companion
+  eigensolve oracle (``tests/oracles.py``) for well-separated roots.
 """
 
 import math
@@ -23,11 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.batch_solver import (
-    SOLVER_CONFIG,
-    closed_form_stats,
-    real_roots_rows,
-)
+from repro.core.batch_solver import closed_form_stats, real_roots_rows
 from repro.core.closed_form import (
     _stable_quadratic_batch,
     cubic_candidates,
@@ -35,6 +31,7 @@ from repro.core.closed_form import (
 )
 from repro.core.polynomial import Polynomial
 from repro.core.roots import _quadratic_roots
+from tests.oracles import companion_roots_rows
 
 # Exact zeros are interesting (monomial gaps); denormal-range values
 # are not — the dispatcher's _deflate drops them before any kernel
@@ -326,7 +323,7 @@ class TestStableQuadraticBatch:
 
 
 # ----------------------------------------------------------------------
-# dispatcher: fallback accounting and on/off parity
+# dispatcher: fallback accounting and closed-form/companion parity
 # ----------------------------------------------------------------------
 class TestDispatcher:
     def test_eigval_fallback_on_overflowing_monic_ratio(self):
@@ -343,13 +340,7 @@ class TestDispatcher:
         got = real_roots_rows(rows)
         after = closed_form_stats()["fallback_rows"]
         assert after == before + 1
-        saved = SOLVER_CONFIG.closed_form
-        SOLVER_CONFIG.closed_form = False
-        try:
-            expect = real_roots_rows(rows)
-        finally:
-            SOLVER_CONFIG.closed_form = saved
-        assert got == expect
+        assert got == companion_roots_rows(rows)
 
     def test_ok_rows_do_not_touch_fallback_tally(self):
         before = closed_form_stats()
@@ -368,7 +359,7 @@ class TestDispatcher:
         )
     )
     @settings(max_examples=100, deadline=None)
-    def test_closed_form_toggle_parity(self, polys):
+    def test_closed_form_matches_companion(self, polys):
         # Skip conditioning-bound rows: near-multiple true roots make
         # count parity physically unattainable for any kernel pair.
         for c in polys:
@@ -380,16 +371,26 @@ class TestDispatcher:
                         > 1e-3 * max(1.0, abs(ref[i]))
                     )
         rows = [(tuple(c), *DOMAIN) for c in polys]
-        saved = SOLVER_CONFIG.closed_form
-        try:
-            SOLVER_CONFIG.closed_form = True
-            on = real_roots_rows(rows)
-            SOLVER_CONFIG.closed_form = False
-            off = real_roots_rows(rows)
-        finally:
-            SOLVER_CONFIG.closed_form = saved
+        on = real_roots_rows(rows)
+        off = companion_roots_rows(rows)
         assert len(on) == len(off)
         for a_list, b_list in zip(on, off):
             assert len(a_list) == len(b_list)
             for a, b in zip(a_list, b_list):
                 assert abs(a - b) <= 1e-7 * max(1.0, abs(a), abs(b))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_roots_parity_fuzz_tool_reports_no_mismatch(seed):
+    """``tools/roots_parity_fuzz.py`` at the size the former
+    ``roots-parity`` CI job ran it: closed-form vs companion on
+    well-conditioned rows, containment on clustered ones, and exact
+    scalar-vs-batch equality."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "tools/roots_parity_fuzz.py"
+    spec = importlib.util.spec_from_file_location("roots_parity_fuzz", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.run(600, seed) == 0

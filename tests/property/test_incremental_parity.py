@@ -1,27 +1,34 @@
-"""Incremental-vs-full parity: the delta path's bit-exactness gate.
+"""Solution-store-vs-full-re-solve parity: the store's bit-exactness gate.
 
 Hypothesis drives randomized arrival interleavings — model refits,
 re-emissions of unchanged content, overlapping successors (retirements),
 and a poisoned key whose solves fault deterministically and trip the
-circuit breaker — through the same workload twice: once with the
-incremental knob off (the full re-solve oracle) and once with it on.
+circuit breaker — through the same workload twice: once under the full
+re-solve oracle (``tests/oracles.py``: the store never serves a
+solution) and once as the engine runs.
 
 The contract under test:
 
-* **Outputs are bit-exact** between the two modes, compared by value
+* **Outputs are bit-exact** between the two runs, compared by value
   (key, time range, model coefficients, constants) — seg_ids and
   lineage are excluded because two runs allocate ids independently.
-* **Row solves never increase**: the incremental run performs at most
-  as many ``equation_system.row_solves`` as the full run.
-* **Faults stay mode-independent**: only successful solves are ever
-  stored, so poisoned content re-fails on every probe in both modes
-  and the breaker quarantines the same keys.
+* **Row solves never increase**: the engine performs at most as many
+  ``equation_system.row_solves`` as the oracle.
+* **Faults do not depend on what was stored**: only successful solves
+  are ever stored, so poisoned content re-fails on every probe in both
+  runs and the breaker quarantines the same keys.
+
+The last test pins the point of the store on the trace shape it exists
+for: one refit followed by narrowing re-confirmations of the same
+content, per key and epoch (the paper's Sec. II-A validation regime).
 """
+
+from contextlib import nullcontext
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.core.batch_solver import incremental_mode, set_fault_hook
+from repro.core.batch_solver import set_fault_hook
 from repro.core.errors import SolverError
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
@@ -34,11 +41,12 @@ from repro.engine.metrics import get_counter, reset_counters
 from repro.engine.resilience import BreakerConfig
 from repro.engine.scheduler import QueryRuntime
 from repro.query import parse_query, plan_query
+from tests.oracles import full_resolve
 
 KEYS = ("a", "b", "poison")
 #: Content marker: any solve task whose polynomial carries a huge
 #: coefficient faults.  Content-addressed (not rate- or order-based),
-#: so the fault fires identically under both modes.
+#: so the fault fires identically in both runs.
 POISON_LEVEL = 500.0
 
 
@@ -107,7 +115,7 @@ def traces(draw):
 
 
 def canon(outputs):
-    """Mode-independent view of an output stream (no ids, no lineage)."""
+    """Run-independent view of an output stream (no ids, no lineage)."""
     return [
         (
             s.key,
@@ -120,15 +128,16 @@ def canon(outputs):
     ]
 
 
-def run_trace(sql: str, trace, incremental: bool):
+def run_trace(sql: str, trace, oracle: bool, **runtime_kwargs):
     reset_global_solve_cache()
     reset_worker_root_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
-    with incremental_mode(incremental):
+    with full_resolve() if oracle else nullcontext():
         rt = QueryRuntime(
-            breaker=BreakerConfig(failure_threshold=2, backoff=10_000)
+            breaker=BreakerConfig(failure_threshold=2, backoff=10_000),
+            **runtime_kwargs,
         )
         try:
             rt.register("q", to_continuous_plan(planned))
@@ -146,41 +155,79 @@ def run_trace(sql: str, trace, incremental: bool):
 @pytest.mark.parametrize("query", sorted(QUERIES))
 @given(trace=traces())
 @settings(max_examples=25, deadline=None)
-def test_incremental_matches_full(query, trace):
+def test_store_matches_full_resolve(query, trace):
     previous = set_fault_hook(_content_fault)
     try:
         full_out, full_solves, full_errors = run_trace(
-            QUERIES[query], trace, incremental=False
+            QUERIES[query], trace, oracle=True
         )
-        incr_out, incr_solves, incr_errors = run_trace(
-            QUERIES[query], trace, incremental=True
-        )
+        out, solves, errors = run_trace(QUERIES[query], trace, oracle=False)
     finally:
         set_fault_hook(previous)
-    assert incr_out == full_out
-    assert incr_solves <= full_solves
-    assert incr_errors == full_errors
+    assert out == full_out
+    assert solves <= full_solves
+    assert errors == full_errors
 
 
 @given(trace=traces())
 @settings(max_examples=10, deadline=None)
-def test_incremental_sharded_matches_full_serial(trace):
-    """The delta path composes with the parallel dispatcher."""
-    full_out, full_solves, _ = run_trace(
-        QUERIES["join"], trace, incremental=False
+def test_sharded_store_matches_full_serial(trace):
+    """The store composes with the parallel dispatcher: the priming pass
+    and the processing pass share its entries."""
+    full_out, _, _ = run_trace(QUERIES["join"], trace, oracle=True)
+    out, _, _ = run_trace(
+        QUERIES["join"], trace, oracle=False, num_shards=2, parallel=False
     )
-    reset_global_solve_cache()
-    reset_worker_root_cache()
-    reset_counters()
-    planned = plan_query(parse_query(QUERIES["join"]))
-    with incremental_mode(True):
-        rt = QueryRuntime(num_shards=2)
-        try:
-            rt.register("q", to_continuous_plan(planned))
-            for stream, item in trace:
-                rt.enqueue(stream, item)
-            rt.run_until_idle()
-            outputs = rt.outputs("q")
-        finally:
-            rt.close()
-    assert canon(outputs) == full_out
+    assert out == full_out
+
+
+# ----------------------------------------------------------------------
+# the re-confirmation trace: what the store is for
+# ----------------------------------------------------------------------
+def reconfirmation_trace(epochs=6, epoch_len=8, duration=4.0, step=0.25):
+    """Update-heavy two-stream trace: refit epochs of re-confirmations.
+
+    Per key and epoch, the join's right side refits once over the whole
+    window; the left side refits, then re-emits the same model
+    ``epoch_len - 1`` times over narrowing windows — exactly what a
+    validated prediction does (Sec. II-A).  Coefficients are fresh per
+    epoch, so nothing repeats byte-identically across epochs and the
+    row-level solve cache cannot stand in for the store.
+    """
+    import random
+
+    rng = random.Random(11)
+    events = []
+    for e in range(epochs):
+        for k in ("a", "b"):
+            s = e * duration
+            c1 = [rng.uniform(-2, 2) for _ in range(3)]
+            c2 = [rng.uniform(-2, 2) for _ in range(3)]
+            events.append((
+                "quotes",
+                Segment((k,), s, s + duration, {"y": Polynomial(c2)},
+                        constants={"sym": k}),
+            ))
+            for j in range(epoch_len):
+                events.append((
+                    "ticks",
+                    Segment((k,), s + j * step, s + duration,
+                            {"x": Polynomial(c1)}, constants={"sym": k}),
+                ))
+    return events
+
+
+def test_reconfirmed_content_is_not_resolved():
+    """Bit-exact against the oracle, with at least 3x fewer row solves."""
+    trace = reconfirmation_trace()
+    full_solves = solves = 0
+    for query in ("filter", "join"):
+        full_out, n_full, _ = run_trace(QUERIES[query], trace, oracle=True)
+        out, n, _ = run_trace(QUERIES[query], trace, oracle=False)
+        assert out == full_out
+        assert full_out, "the trace must produce output to compare"
+        assert get_counter("delta.store.hits").value > 0
+        full_solves += n_full
+        solves += n
+    assert solves > 0
+    assert full_solves >= 3 * solves, (full_solves, solves)

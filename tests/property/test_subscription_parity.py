@@ -27,16 +27,18 @@ The contract under test:
   value, so the breaker quarantines the same keys whether one graph
   serves five subscribers or five graphs serve one each.
 
-Both incremental modes run, because the shared graph must hold parity
-on top of the delta re-solve path too.
+Every script runs twice — as the engine runs, and with both executors
+under the full re-solve oracle (``tests/oracles.py``) — because the
+shared graph must hold parity with and without solution reuse.
 """
 
 from collections import defaultdict
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch_solver import incremental_mode, set_fault_hook
+from repro.core.batch_solver import set_fault_hook
 from repro.core.errors import SolverError
 from repro.core.solve_cache import (
     reset_global_solve_cache,
@@ -50,6 +52,7 @@ from repro.engine.tuples import StreamTuple
 from repro.fitting.model_builder import StreamModelBuilder
 from repro.query import parse_query, plan_query
 from repro.server.bridge import EngineBridge, FitSpec
+from tests.oracles import full_resolve
 
 SQL = "select * from ticks where x > 0"
 STREAM = "ticks"
@@ -124,7 +127,7 @@ def _reset():
     reset_counters()
 
 
-def run_shared(events, incremental):
+def run_shared(events):
     """The system under test: one bridge, one shared graph."""
     _reset()
     delivered: dict[int, list] = defaultdict(list)
@@ -135,118 +138,117 @@ def run_shared(events, incremental):
             assert cursor == len(delivered[sub_id])
             delivered[sub_id].extend(outputs)
 
-    with incremental_mode(incremental):
-        bridge = EngineBridge(
-            {"breaker": _breaker()}, on_outputs=on_outputs
-        )
-        bridge.start()
-        try:
-            bridge.register_query("q", SQL, FIT).result()
-            next_id = 1
-            active: list[int] = []
-            for ev in events:
-                if ev[0] == "sub":
-                    bridge.subscribe(
-                        next_id, "q", "continuous", ev[1]
-                    ).result()
-                    active.append(next_id)
-                    next_id += 1
-                elif ev[0] == "unsub":
-                    if not active:
-                        continue
-                    sid = active.pop(ev[1] % len(active))
-                    bridge.unsubscribe(sid).result()
-                elif ev[0] == "flush":
-                    bridge.flush().result()
-                else:
-                    bridge.ingest(
-                        None, STREAM, [StreamTuple(d) for d in ev[1]]
-                    ).result()
-        finally:
-            bridge.stop()
+    bridge = EngineBridge(
+        {"breaker": _breaker()}, on_outputs=on_outputs
+    )
+    bridge.start()
+    try:
+        bridge.register_query("q", SQL, FIT).result()
+        next_id = 1
+        active: list[int] = []
+        for ev in events:
+            if ev[0] == "sub":
+                bridge.subscribe(
+                    next_id, "q", "continuous", ev[1]
+                ).result()
+                active.append(next_id)
+                next_id += 1
+            elif ev[0] == "unsub":
+                if not active:
+                    continue
+                sid = active.pop(ev[1] % len(active))
+                bridge.unsubscribe(sid).result()
+            elif ev[0] == "flush":
+                bridge.flush().result()
+            else:
+                bridge.ingest(
+                    None, STREAM, [StreamTuple(d) for d in ev[1]]
+                ).result()
+    finally:
+        bridge.stop()
     return {sid: canon(outs) for sid, outs in delivered.items()}
 
 
-def run_oracle(events, incremental):
+def run_oracle(events):
     """Dedicated builder + runtime following the tightest-bound
     schedule, with per-point delivery bookkeeping."""
     _reset()
     delivered: dict[int, list] = defaultdict(list)
-    with incremental_mode(incremental):
-        planned = plan_query(parse_query(SQL))
-        rt = None
-        builder = None
-        active: list[tuple[int, float]] = []
-        next_id = 1
+    planned = plan_query(parse_query(SQL))
+    rt = None
+    builder = None
+    active: list[tuple[int, float]] = []
+    next_id = 1
 
-        def deliver():
-            rt.run_until_idle()
-            outs = rt.outputs("q")
-            for sid, _bound in active:
-                delivered[sid].extend(outs)
+    def deliver():
+        rt.run_until_idle()
+        outs = rt.outputs("q")
+        for sid, _bound in active:
+            delivered[sid].extend(outs)
 
-        def retarget(bound):
-            for seg in builder.retarget(bound):
-                rt.enqueue(STREAM, seg)
-            deliver()
+    def retarget(bound):
+        for seg in builder.retarget(bound):
+            rt.enqueue(STREAM, seg)
+        deliver()
 
-        try:
-            for ev in events:
-                if ev[0] == "sub":
-                    bound = ev[1]
-                    if rt is None:
-                        rt = QueryRuntime(breaker=_breaker())
-                        rt.register("q", to_continuous_plan(planned))
-                        builder = StreamModelBuilder(
-                            FIT.attrs,
-                            bound,
-                            key_fields=FIT.key_fields,
-                            constants=FIT.effective_constants,
-                        )
-                    elif bound < builder.tolerance:
-                        # seal at the old bound for the existing subs,
-                        # then admit the tighter newcomer
-                        retarget(bound)
-                    active.append((next_id, bound))
-                    next_id += 1
-                elif ev[0] == "unsub":
-                    if not active:
-                        continue
-                    _sid, bound = active.pop(ev[1] % len(active))
-                    if not active:
-                        rt.close()
-                        rt = None
-                        builder = None
-                    elif bound == builder.tolerance:
-                        remaining = min(b for _s, b in active)
-                        if remaining != builder.tolerance:
-                            retarget(remaining)
-                elif ev[0] == "flush":
-                    if rt is not None:
-                        for seg in builder.finish():
-                            rt.enqueue(STREAM, seg)
-                        deliver()
-                else:
-                    if rt is None:
-                        continue  # no consumer: the bridge drops these too
-                    for d in ev[1]:
-                        for seg in builder.add(StreamTuple(d)):
-                            rt.enqueue(STREAM, seg)
+    try:
+        for ev in events:
+            if ev[0] == "sub":
+                bound = ev[1]
+                if rt is None:
+                    rt = QueryRuntime(breaker=_breaker())
+                    rt.register("q", to_continuous_plan(planned))
+                    builder = StreamModelBuilder(
+                        FIT.attrs,
+                        bound,
+                        key_fields=FIT.key_fields,
+                        constants=FIT.effective_constants,
+                    )
+                elif bound < builder.tolerance:
+                    # seal at the old bound for the existing subs,
+                    # then admit the tighter newcomer
+                    retarget(bound)
+                active.append((next_id, bound))
+                next_id += 1
+            elif ev[0] == "unsub":
+                if not active:
+                    continue
+                _sid, bound = active.pop(ev[1] % len(active))
+                if not active:
+                    rt.close()
+                    rt = None
+                    builder = None
+                elif bound == builder.tolerance:
+                    remaining = min(b for _s, b in active)
+                    if remaining != builder.tolerance:
+                        retarget(remaining)
+            elif ev[0] == "flush":
+                if rt is not None:
+                    for seg in builder.finish():
+                        rt.enqueue(STREAM, seg)
                     deliver()
-        finally:
-            if rt is not None:
-                rt.close()
+            else:
+                if rt is None:
+                    continue  # no consumer: the bridge drops these too
+                for d in ev[1]:
+                    for seg in builder.add(StreamTuple(d)):
+                        rt.enqueue(STREAM, seg)
+                deliver()
+    finally:
+        if rt is not None:
+            rt.close()
     return {sid: canon(outs) for sid, outs in delivered.items()}
 
 
-@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("resolve", [full_resolve, nullcontext])
 @given(events=scripts())
 @settings(max_examples=25, deadline=None)
-def test_shared_graph_matches_dedicated_oracle(incremental, events):
+def test_shared_graph_matches_dedicated_oracle(resolve, events):
     previous = set_fault_hook(_content_fault)
     try:
-        shared = run_shared(events, incremental)
-        oracle = run_oracle(events, incremental)
+        with resolve():
+            shared = run_shared(events)
+            oracle = run_oracle(events)
     finally:
         set_fault_hook(previous)
     # every subscription matches its oracle, delivery for delivery

@@ -17,6 +17,7 @@ pinned at the bottom.
 
 import socket
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -127,6 +128,20 @@ class TestFleetHandshake:
             with PulseClient("127.0.0.1", router.port) as client:
                 with pytest.raises(ServerError):
                     client.connect(backpressure="shed-newest")
+
+
+    def test_stop_wakes_the_accept_thread(self):
+        # The accept thread sits in a blocking accept(); stop() has to
+        # wake it, not wait out the join timeout and leak the thread.
+        with loopback_fleet(2) as router:
+            with PulseClient("127.0.0.1", router.port) as client:
+                client.connect()
+            accept_thread = router._accept_thread
+            assert accept_thread.is_alive()
+            t0 = time.perf_counter()
+            router.stop()
+            assert time.perf_counter() - t0 < 0.5
+            assert not accept_thread.is_alive()
 
 
 class TestMergedParity:

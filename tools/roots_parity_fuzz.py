@@ -40,11 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from repro.core.batch_solver import SOLVER_CONFIG, real_roots_rows
+from repro.core.batch_solver import real_roots_rows
 from repro.core.polynomial import Polynomial
 from repro.core.roots import real_roots
+from tests.oracles import companion_roots_rows
 
 DOMAIN = (-10.0, 10.0)
 SCALES = (1e-3, 1.0, 1e3, 1e8)
@@ -102,15 +104,6 @@ def _random_rows(n: int, seed: int) -> list[list[float]]:
     return rows
 
 
-def _solve(rows: list[list[float]], closed_form: bool) -> list[list[float]]:
-    saved = SOLVER_CONFIG.closed_form
-    SOLVER_CONFIG.closed_form = closed_form
-    try:
-        return real_roots_rows([(r, *DOMAIN) for r in rows])
-    finally:
-        SOLVER_CONFIG.closed_form = saved
-
-
 def _agree(a: list[float], b: list[float]) -> bool:
     if len(a) != len(b):
         return False
@@ -152,8 +145,9 @@ def _contained(roots: list[float], true_roots: np.ndarray) -> bool:
 
 def run(n: int, seed: int) -> int:
     rows = _random_rows(n, seed)
-    closed = _solve(rows, closed_form=True)
-    eig = _solve(rows, closed_form=False)
+    domain_rows = [(r, *DOMAIN) for r in rows]
+    closed = real_roots_rows(domain_rows)
+    eig = companion_roots_rows(domain_rows)
     failures = 0
     clustered_rows = 0
     for i, (coeffs, c_roots, e_roots) in enumerate(zip(rows, closed, eig)):
