@@ -6,9 +6,10 @@ believe the result will still hold due to the low overhead of validation
 compared to the join predicate evaluation."
 
 We test it: an equi-key proximity join runs as (a) the nested-loop
-baseline, (b) a hash join bucketed on the key, (c) Pulse on segments
-with validation, and (d) Pulse with the future-work interval index on
-its state buffers.  The paper's conjecture holds if Pulse still wins
+baseline, (b) a hash join bucketed on the key, and (c) Pulse on segments
+with validation.  Pulse's own buffers are ordered and partitioned on the
+equi-key (Section VII's segment indexing is the default buffer, not an
+arm of this ablation).  The paper's conjecture holds if Pulse still wins
 against the hash join.
 """
 
@@ -76,12 +77,8 @@ def _run_discrete(op_factory, left, right) -> float:
     return time.perf_counter() - start
 
 
-def _run_pulse(left, right, seg_l, seg_r, indexed: bool) -> float:
-    op = ContinuousJoin(
-        FULL_PRED,
-        window=WINDOW,
-        index_cell_width=0.5 if indexed else None,
-    )
+def _run_pulse(left, right, seg_l, seg_r) -> float:
+    op = ContinuousJoin(FULL_PRED, window=WINDOW)
     feed = _interleave(seg_l, seg_r, lambda s: s.t_start)
     bound_abs = MICRO_PRECISION * 1000.0
     start = time.perf_counter()
@@ -113,11 +110,7 @@ def run_experiment():
             repeats=2,
         ),
         "pulse": n / best_of(
-            lambda: _run_pulse(left, right, seg_l, seg_r, indexed=False),
-            repeats=2,
-        ),
-        "pulse+index": n / best_of(
-            lambda: _run_pulse(left, right, seg_l, seg_r, indexed=True),
+            lambda: _run_pulse(left, right, seg_l, seg_r),
             repeats=2,
         ),
     }
@@ -136,5 +129,3 @@ def test_ablation_join_implementations(benchmark, report):
     assert throughputs["hash"] > throughputs["nested-loop"]
     # The paper's conjecture: Pulse still wins against the hash join.
     assert throughputs["pulse"] > throughputs["hash"]
-    # The interval index does not hurt at this (modest) state size.
-    assert throughputs["pulse+index"] > 0.5 * throughputs["pulse"]

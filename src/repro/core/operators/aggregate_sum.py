@@ -24,6 +24,7 @@ segment for close-range ``[a, b)`` carries the model
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from ..errors import UnsupportedAggregateError
 from ..intervals import EPS, Interval
@@ -84,7 +85,13 @@ class ContinuousSumAggregate(ContinuousOperator):
         # Cumulative antiderivative pieces of the input signal; continuous
         # by construction (each piece's constant chains the previous
         # piece's closing value — the paper's cached segment integrals C).
+        # Pieces are disjoint and in time order (a new piece starts at or
+        # after the last one's end), so their starts — kept beside them,
+        # plain and shifted by +window — are sorted and every lookup is a
+        # bisect.  Both lists are derived: rebuilt on unpickle, not stored.
         self._cum: list[Piece] = []
+        self._starts: list[float] = []
+        self._shifted: list[float] = []
         self._signal_start = math.nan
         self._signal_end = math.nan
         self._emitted_to = math.nan
@@ -94,6 +101,19 @@ class ContinuousSumAggregate(ContinuousOperator):
         self.revisions = 0
         #: Count of gap-filled (zero-signal) spans between segments.
         self.gaps_filled = 0
+        #: Count of window-function pieces not emitted because their head
+        #: or tail instant fell into a sub-``EPS`` hole between pieces.
+        self.windows_skipped = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_starts"], state["_shifted"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._starts = [p.interval.lo for p in self._cum]
+        self._shifted = [lo + self.window for lo in self._starts]
 
     # ------------------------------------------------------------------
     # state inspection
@@ -112,15 +132,19 @@ class ContinuousSumAggregate(ContinuousOperator):
         return piece.poly(t)
 
     def _piece_containing(self, t: float) -> Piece | None:
-        for piece in self._cum:
-            if piece.interval.contains(t):
-                return piece
+        # Disjoint pieces: only the last one starting at or before ``t``
+        # can contain it.
+        i = bisect_right(self._starts, t)
+        if i and self._cum[i - 1].interval.contains(t):
+            return self._cum[i - 1]
         if self._cum and abs(t - self._cum[-1].interval.hi) <= EPS:
             return self._cum[-1]
         return None
 
     def reset(self) -> None:
         self._cum.clear()
+        self._starts.clear()
+        self._shifted.clear()
         self._signal_start = math.nan
         self._signal_end = math.nan
         self._emitted_to = math.nan
@@ -156,15 +180,21 @@ class ContinuousSumAggregate(ContinuousOperator):
 
     def _truncate_to(self, t: float) -> None:
         """Discard the signal (and emission progress) from ``t`` onward."""
-        kept: list[Piece] = []
-        for piece in self._cum:
-            if piece.interval.hi <= t + EPS:
-                kept.append(piece)
-            elif piece.interval.lo < t - EPS:
-                kept.append(Piece(Interval(piece.interval.lo, t), piece.poly))
-        self._cum = kept
-        if kept:
-            self._signal_end = kept[-1].interval.hi
+        # Ends are monotone: every piece before the last one starting
+        # within ``t + EPS`` ends there too and is kept whole; that one
+        # is kept whole, cut at ``t`` or dropped; the rest go.
+        keep = bisect_right(self._starts, t + EPS)
+        if keep and self._cum[keep - 1].interval.hi > t + EPS:
+            lo = self._starts[keep - 1]
+            if lo < t - EPS:
+                self._cum[keep - 1] = Piece(
+                    Interval(lo, t), self._cum[keep - 1].poly
+                )
+            else:
+                keep -= 1
+        del self._cum[keep:], self._starts[keep:], self._shifted[keep:]
+        if self._cum:
+            self._signal_end = self._cum[-1].interval.hi
         else:
             # The revision starts before any retained history.
             self._signal_start = t
@@ -181,6 +211,8 @@ class ContinuousSumAggregate(ContinuousOperator):
         else:
             offset = -anti(lo)
         self._cum.append(Piece(Interval(lo, hi), anti + offset))
+        self._starts.append(lo)
+        self._shifted.append(lo + self.window)
         self._signal_end = hi
 
     def _emit_window_functions(self, cause: Segment) -> list[Segment]:
@@ -196,12 +228,7 @@ class ContinuousSumAggregate(ContinuousOperator):
         end = self._signal_end
         if end <= start + EPS:
             return []
-        breakpoints = {start, end}
-        for piece in self._cum:
-            for b in (piece.interval.lo, piece.interval.lo + self.window):
-                if start < b < end:
-                    breakpoints.add(b)
-        ordered = sorted(breakpoints)
+        ordered = self._breakpoints(start, end)
         outputs: list[Segment] = []
         for a, b in zip(ordered[:-1], ordered[1:]):
             if b - a <= EPS:
@@ -210,6 +237,10 @@ class ContinuousSumAggregate(ContinuousOperator):
             head = self._piece_containing(mid)
             tail = self._piece_containing(mid - self.window)
             if head is None or tail is None:
+                from ...engine.metrics import get_counter
+
+                self.windows_skipped += 1
+                get_counter("aggregate.windows_skipped").bump()
                 continue
             wf = head.poly - tail.poly.shift(-self.window)
             if self.average:
@@ -227,6 +258,16 @@ class ContinuousSumAggregate(ContinuousOperator):
         self._emitted_to = end
         return outputs
 
+    def _breakpoints(self, start: float, end: float) -> list[float]:
+        """``start``, ``end`` and, strictly between them, every piece
+        start and every piece start shifted by ``+window``, ascending."""
+        breakpoints = {start, end}
+        for bounds in (self._starts, self._shifted):
+            breakpoints.update(
+                bounds[bisect_right(bounds, start):bisect_left(bounds, end)]
+            )
+        return sorted(breakpoints)
+
     def _evict(self) -> None:
         if math.isinf(self.retention):
             return
@@ -234,9 +275,12 @@ class ContinuousSumAggregate(ContinuousOperator):
             self._signal_end - self.window - (self.slide or 0.0)
             - self.retention - EPS
         )
-        kept = [p for p in self._cum if p.interval.hi > horizon]
-        if len(kept) != len(self._cum):
-            self._cum = kept
+        # Ends are monotone, so what falls behind the horizon is a prefix.
+        cum, drop = self._cum, 0
+        while drop < len(cum) and not cum[drop].interval.hi > horizon:
+            drop += 1
+        if drop:
+            del cum[:drop], self._starts[:drop], self._shifted[:drop]
 
     # ------------------------------------------------------------------
     # direct evaluation

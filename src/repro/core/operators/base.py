@@ -113,8 +113,8 @@ class SelectiveOperator(ContinuousOperator):
 
     * ``_fold_memo`` — discrete signature -> folded residual.  The fold
       reads only discrete values and name-resolution structure, so one
-      entry serves every alignment with those constants; it is what
-      rejects an equi-key join's cross-key pairs before any compile.
+      entry serves every alignment with those constants (an equi-key
+      join's cross-key pairs never get here: it partitions its buffers).
     * ``_solution_store`` — content signature -> compiled system plus
       widest solved domain (see :class:`~repro.core.delta.SolutionStore`).
 

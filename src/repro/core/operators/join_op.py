@@ -12,12 +12,19 @@ A join *window* bounds state exactly as in the paper's state table
 (``S_x = {([tl, tu), s_x) | tl > t_y}`` generalized by a window width):
 segments wholly before the opposite side's high-water mark minus the
 window are evicted.
+
+Top-level conjuncts ``<left>.a = <right>.b`` partition both buffers by
+those attributes' values, and an arrival probes only the partition its
+own values select — the continuous counterpart of
+:class:`~repro.engine.operators.hash_join.DiscreteHashJoin`.
 """
 
 from __future__ import annotations
 
 from ..equation_system import EquationSystem, solve_systems_batch
-from ..predicate import BoolExpr, Literal
+from ..expr import Attr
+from ..predicate import And, BoolExpr, Comparison, Literal
+from ..relation import Rel
 from ..segment import Segment, SegmentBuffer, apply_update_semantics
 from .base import (
     AttributeBinding,
@@ -35,6 +42,33 @@ def _pair_sig(left, right):
     return (left, right)
 
 
+def _equi_attrs(
+    predicate: BoolExpr, left_alias: str, right_alias: str
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Per side, the attributes of the top-level ``L.a = R.b`` conjuncts.
+
+    A pair on which one of them is false folds to ``FALSE`` whatever
+    the other conjuncts say, so it never needs probing.
+    """
+    pairs = []
+    atoms = predicate.children if isinstance(predicate, And) else (predicate,)
+    for atom in atoms:
+        if (
+            isinstance(atom, Comparison)
+            and atom.rel is Rel.EQ
+            and isinstance(atom.left, Attr)
+            and isinstance(atom.right, Attr)
+        ):
+            by_alias = dict(
+                name.split(".", 1)
+                for name in (atom.left.name, atom.right.name)
+                if name.count(".") == 1
+            )
+            if len(by_alias) == 2 and by_alias.keys() == {left_alias, right_alias}:
+                pairs.append((by_alias[left_alias], by_alias[right_alias]))
+    return tuple(zip(*pairs)) or ((), ())
+
+
 class ContinuousJoin(SelectiveOperator):
     """Two-input selective operator over aligned segment pairs.
 
@@ -49,12 +83,6 @@ class ContinuousJoin(SelectiveOperator):
         output segments.
     window:
         State-retention bound (seconds).  ``None`` keeps unbounded state.
-    index_cell_width:
-        When set, state is held in interval-indexed buffers
-        (:class:`~repro.core.segment_index.IndexedSegmentBuffer`) so the
-        per-arrival partner lookup no longer scans all live segments —
-        the paper's future-work segment indexing for highly segmented
-        datasets.
     """
 
     arity = 2
@@ -65,59 +93,93 @@ class ContinuousJoin(SelectiveOperator):
         left_alias: str = "L",
         right_alias: str = "R",
         window: float | None = None,
-        index_cell_width: float | None = None,
         name: str = "join",
     ):
         super().__init__(predicate)
         self.left_alias = left_alias
         self.right_alias = right_alias
         self.window = window
-        self.index_cell_width = index_cell_width
         self.name = name
-        if index_cell_width is not None:
-            from ..segment_index import IndexedSegmentBuffer
-
-            self._buffers = (
-                IndexedSegmentBuffer(index_cell_width),
-                IndexedSegmentBuffer(index_cell_width),
-            )
-        else:
-            self._buffers = (SegmentBuffer(), SegmentBuffer())
-        self._high_water = [float("-inf"), float("-inf")]
+        self._buffers = (SegmentBuffer(), SegmentBuffer())
+        self._equi_attrs = _equi_attrs(predicate, left_alias, right_alias)
+        # The qualified names the fold resolves those attributes by; a
+        # segment carrying one of them literally could shadow a value.
+        self._equi_names = frozenset(
+            f"{alias}.{attr}"
+            for alias, attrs in zip((left_alias, right_alias), self._equi_attrs)
+            for attr in attrs
+        )
         # Max t_start seen per side: inputs arrive with monotonically
         # increasing reference timestamps (Section II-B), so a side's
         # start watermark bounds where future arrivals can begin.
         self._start_water = [float("-inf"), float("-inf")]
-        #: Count of aligned pairs whose predicate was discretely false.
+        #: Count of probed pairs whose predicate was discretely false.
+        #: Pairs that differ on an equi-key attribute are in different
+        #: partitions and never probed, so under an equi-key predicate
+        #: this counts only what the *other* discrete atoms reject.
         self.pairs_rejected_discrete = 0
 
     def reset(self) -> None:
         super().reset()
         for buf in self._buffers:
             buf.clear()
-        self._high_water = [float("-inf"), float("-inf")]
         self._start_water = [float("-inf"), float("-inf")]
 
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
         if port not in (0, 1):
             raise ValueError(f"join has ports 0 and 1, got {port}")
-        own, other = port, 1 - port
-        self._buffers[own].insert(segment)
-        self._high_water[own] = max(self._high_water[own], segment.t_end)
-        self._start_water[own] = max(self._start_water[own], segment.t_start)
-        self._evict()
+        self._buffers[port].insert(segment, self._partition(segment, port))
+        self._start_water[port] = max(self._start_water[port], segment.t_start)
+        self._evict(segment)
 
         # Batch across every candidate pair this probe produced: the
         # pairs' difference rows share one kernel sweep and one cache
         # pass instead of a solver round-trip per partner.
-        pairs: list[tuple[Segment, Segment]] = []
-        for partner in list(
-            self._buffers[other].overlapping(segment.t_start, segment.t_end)
-        ):
-            pairs.append(
+        return self._join_pairs(
+            [
                 (segment, partner) if port == 0 else (partner, segment)
+                for partner in self._partners(segment, port)
+            ]
+        )
+
+    def _partition(self, segment: Segment, port: int) -> tuple | None:
+        """The segment's equi-key values: its partition on its own side,
+        the one it probes on the other.
+
+        ``None`` when the predicate has no equi-key conjunct or the fold
+        would not read exactly these constants off this segment (one is
+        missing, modeled, unhashable or shadowed by a qualified name):
+        such a segment is stored unpartitioned and probes every key.
+        """
+        attrs = self._equi_attrs[port]
+        constants, models = segment.constants, segment.models
+        if not attrs or not (
+            self._equi_names.isdisjoint(constants)
+            and self._equi_names.isdisjoint(models)
+            and models.keys().isdisjoint(attrs)
+        ):
+            return None
+        try:
+            values = tuple(constants[attr] for attr in attrs)
+            hash(values)
+        except (KeyError, TypeError):
+            return None
+        return values
+
+    def _partners(self, segment: Segment, port: int) -> list[Segment]:
+        """Opposite-side segments ``segment`` aligns with, in buffer order.
+
+        Dict lookup of the partition finds every value that ``==`` finds
+        (``1`` and ``1.0`` share a partition; a NaN equals nothing and
+        pairs with nothing); each returned pair is still folded.
+        """
+        return list(
+            self._buffers[1 - port].overlapping(
+                segment.t_start,
+                segment.t_end,
+                partition=self._partition(segment, port),
             )
-        return self._join_pairs(pairs)
+        )
 
     def _probe_pair(
         self, left: Segment, right: Segment, lo: float, hi: float
@@ -200,15 +262,7 @@ class ContinuousJoin(SelectiveOperator):
         """
         if port not in (0, 1):
             return []
-        return self._pair_queries(
-            segment,
-            port,
-            list(
-                self._buffers[1 - port].overlapping(
-                    segment.t_start, segment.t_end
-                )
-            ),
-        )
+        return self._pair_queries(segment, port, self._partners(segment, port))
 
     def prime_round(self, arrivals) -> list:
         """Predict the whole round's pairings, including round-internal ones.
@@ -243,11 +297,7 @@ class ContinuousJoin(SelectiveOperator):
             vown[segment.key] = apply_update_semantics(current, segment)
             vother = virtual[other]
             partners = [
-                v
-                for v in self._buffers[other].overlapping(
-                    segment.t_start, segment.t_end
-                )
-                if v.key not in vother
+                v for v in self._partners(segment, port) if v.key not in vother
             ]
             for shadowed in vother.values():
                 partners.extend(
@@ -282,18 +332,20 @@ class ContinuousJoin(SelectiveOperator):
             queries.extend(system.row_tasks(lo, hi))
         return queries
 
-    def _evict(self) -> None:
+    def _evict(self, arrival: Segment) -> None:
         """Drop state no future arrival can pair with.
 
         Future arrivals on either side start at or after that side's
         start watermark (monotone reference timestamps), so a stored
         segment ending before ``min(start watermarks) - window`` can
-        never overlap one and is safe to evict.
+        never overlap one and is safe to evict.  The horizon never
+        recedes, so when it has not advanced only ``arrival`` itself
+        (a late one, or the predecessor heads it cut) can be behind it.
         """
         if self.window is None:
             return
         horizon = min(self._start_water) - self.window
-        if horizon > float("-inf"):
+        if horizon > self._buffers[0].watermark or arrival.t_start <= horizon:
             for buf in self._buffers:
                 buf.evict_before(horizon)
 
@@ -332,10 +384,7 @@ class ContinuousJoin(SelectiveOperator):
         self, segment: Segment, port: int = 0
     ) -> EquationSystem | None:
         """System over the most recent aligned pair, for slack validation."""
-        other = 1 - port
-        partners = list(
-            self._buffers[other].overlapping(segment.t_start, segment.t_end)
-        )
+        partners = self._partners(segment, port)
         if not partners:
             return None
         partner = partners[-1]

@@ -14,6 +14,8 @@ produces segments, which is what keeps the operator set closed
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -24,6 +26,8 @@ from .polynomial import Polynomial
 _segment_ids = itertools.count(1)
 
 Key = tuple
+
+_T_END = attrgetter("t_end")
 
 
 def segment_id_watermark() -> int:
@@ -355,16 +359,29 @@ def apply_update_semantics(
 
 
 class SegmentBuffer:
-    """Order-based per-key segment state used by stateful operators.
+    """Order-based per-key segment state of the continuous join.
 
-    Joins keep one buffer per input (Fig. 3: "order-based segment
-    buffers"); min/max aggregates and the lineage store reuse it.  Segments
-    are held per key in start-time order with update semantics applied on
-    insert, and evicted by a temporal watermark.
+    Fig. 3: the join keeps one "order-based segment buffer" per input.
+    Per key the stored segments are pairwise disjoint after the update
+    rule, so their starts and their ends both increase along the list:
+    inserting, probing and evicting each bisect to the part of a key's
+    list they change or return — the segment indexing Section VII asks
+    for on highly segmented inputs.
+
+    Keys can also be grouped by a *partition* value (the join's equi-key
+    values) so that a probe visits one partition's keys only.  A key
+    counts towards its partition while every segment it holds was
+    inserted under that one value; while any stored key does not, probes
+    visit every key, which is always right and merely slower.
     """
 
     def __init__(self):
         self._by_key: dict[Key, list[Segment]] = {}
+        # partition value -> its keys, in ``_by_key`` order (a key joins
+        # at its first insert and leaves when it empties, as it does
+        # there); and each such key's partition value.
+        self._partitions: dict[object, dict[Key, None]] = {}
+        self._partition_of: dict[Key, object] = {}
         self._watermark = float("-inf")
 
     def __len__(self) -> int:
@@ -374,9 +391,33 @@ class SegmentBuffer:
     def watermark(self) -> float:
         return self._watermark
 
-    def insert(self, segment: Segment) -> None:
-        current = self._by_key.get(segment.key, [])
-        self._by_key[segment.key] = apply_update_semantics(current, segment)
+    def insert(self, segment: Segment, partition: object = None) -> None:
+        """Store ``segment``, trimming what it overrides (update semantics).
+
+        ``partition`` is a hashable grouping value, or ``None`` for a
+        segment that has none.
+        """
+        key = segment.key
+        segs = self._by_key.get(key)
+        if segs is None:
+            self._by_key[key] = [segment]
+            if partition is not None:
+                self._partition_of[key] = partition
+                self._partitions.setdefault(partition, {})[key] = None
+            return
+        if self._partition_of.get(key, partition) != partition:
+            self._leave_partition(key)
+        # Stored segments ending at or before the arrival's start cannot
+        # overlap it; an in-order arrival leaves an empty suffix.
+        at = bisect_right(segs, segment.t_start, key=_T_END)
+        segs[at:] = apply_update_semantics(segs[at:], segment)
+
+    def _leave_partition(self, key: Key) -> None:
+        partition = self._partition_of.pop(key)
+        keys = self._partitions[partition]
+        del keys[key]
+        if not keys:
+            del self._partitions[partition]
 
     def keys(self) -> Iterator[Key]:
         return iter(self._by_key)
@@ -389,30 +430,55 @@ class SegmentBuffer:
             yield from segs
 
     def overlapping(
-        self, lo: float, hi: float, key: Key | None = None
+        self,
+        lo: float,
+        hi: float,
+        key: Key | None = None,
+        partition: object = None,
     ) -> Iterator[Segment]:
-        """All stored segments overlapping ``[lo, hi)``."""
-        pool = (
-            self._by_key.get(key, [])
-            if key is not None
-            else (s for segs in self._by_key.values() for s in segs)
-        )
-        for seg in pool:
-            if seg.t_start < hi and lo < seg.t_end:
-                yield seg
+        """Stored segments overlapping ``[lo, hi)``, key by key in order.
+
+        With ``key``, that key's only; with ``partition``, those of the
+        keys inserted under that value plus, possibly, segments of other
+        keys (callers still test the pair).
+        """
+        if key is not None:
+            pools = (self._by_key.get(key, ()),)
+        elif partition is None or len(self._partition_of) < len(self._by_key):
+            pools = self._by_key.values()
+        else:
+            pools = map(
+                self._by_key.__getitem__, self._partitions.get(partition, ())
+            )
+        for segs in pools:
+            for at in range(bisect_right(segs, lo, key=_T_END), len(segs)):
+                if not segs[at].t_start < hi:
+                    break
+                yield segs[at]
 
     def evict_before(self, watermark: float) -> int:
         """Drop segments entirely before ``watermark``; returns drop count."""
         self._watermark = max(self._watermark, watermark)
         dropped = 0
-        for key in list(self._by_key):
-            kept = [s for s in self._by_key[key] if s.t_end > watermark]
-            dropped += len(self._by_key[key]) - len(kept)
-            if kept:
-                self._by_key[key] = kept
-            else:
-                del self._by_key[key]
+        stale = [
+            key
+            for key, segs in self._by_key.items()
+            if not segs[0].t_end > watermark
+        ]
+        for key in stale:
+            segs = self._by_key[key]
+            gone = bisect_right(segs, watermark, key=_T_END)
+            dropped += gone
+            if gone < len(segs):
+                del segs[:gone]
+                continue
+            del self._by_key[key]
+            if key in self._partition_of:
+                self._leave_partition(key)
         return dropped
 
     def clear(self) -> None:
         self._by_key.clear()
+        self._partitions.clear()
+        self._partition_of.clear()
+        self._watermark = float("-inf")

@@ -41,7 +41,10 @@ from .wal import (
 )
 
 SNAPSHOT_MAGIC = b"PSNAPV01"
-SNAPSHOT_VERSION = 1
+#: Bumped whenever the pickled operator state changes layout: a file of
+#: another version is skipped like a damaged one, never unpickled.
+#: 2: ordered ``SegmentBuffer`` with partitions; sum/avg piece index.
+SNAPSHOT_VERSION = 2
 
 _SNAP_HEADER = struct.Struct("<IQQI")  # version, seq, payload len, crc32
 

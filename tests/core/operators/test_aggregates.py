@@ -229,6 +229,80 @@ class TestSumAggregate:
             agg.cumulative(50.0)
 
 
+class TestSumStateWork:
+    """What an arrival costs depends on what it changes, not on how many
+    pieces the window holds (counts, not timings)."""
+
+    @staticmethod
+    def _contains_calls_for_last_arrival(monkeypatch, live_pieces):
+        from repro.core.intervals import Interval
+
+        window = 100.0
+        width = window / live_pieces
+        agg = ContinuousSumAggregate("x", window=window)
+        for i in range(2 * live_pieces):
+            agg.process(seg(i * width, (i + 1) * width, x=[1.0, 0.5]))
+        assert len(agg._cum) >= live_pieces
+        calls = []
+        real = Interval.contains
+        monkeypatch.setattr(
+            Interval, "contains",
+            lambda self, t, tol=0.0: calls.append(t) or real(self, t, tol),
+        )
+        # narrower than every stored piece: one window function piece
+        out = agg.process(seg(200.0, 200.0625, x=[2.0]))
+        monkeypatch.undo()
+        return len(calls), len(out)
+
+    def test_lookups_per_emitted_piece_do_not_grow_with_the_window(
+        self, monkeypatch
+    ):
+        small = self._contains_calls_for_last_arrival(monkeypatch, 50)
+        large = self._contains_calls_for_last_arrival(monkeypatch, 800)
+        # head and tail: two lookups, one containment check each
+        assert small == large == (2, 1)
+
+
+class TestWindowHoles:
+    def test_lookup_in_a_sub_eps_hole_is_counted_not_silent(self):
+        """An arrival starting within ``EPS`` *after* the signal's end is
+        appended at its own start, leaving a hole narrower than ``EPS``
+        between two pieces.  A window function piece whose tail instant
+        lands in the hole has no model to subtract: it is not emitted,
+        and that must leave a trace."""
+        from repro.engine.metrics import counter_snapshot, reset_counters
+
+        reset_counters("aggregate.windows_skipped")
+        agg = ContinuousSumAggregate("x", window=3.0)
+        outputs = agg.process(seg(0.0, 5.0, x=[1.0]))
+        # hole (5, 5 + 0.9e-9) ...
+        outputs += agg.process(seg(5.0 + 0.9e-9, 8.0 - 0.4e-9, x=[1.0]))
+        assert (agg.gaps_filled, agg.windows_skipped) == (0, 0)
+        # ... and closes in (8 - 0.4e-9, 8 + 0.9e-9) have their window
+        # start in it
+        outputs += agg.process(seg(8.0 - 0.4e-9, 12.0, x=[1.0]))
+        assert agg.windows_skipped == 1
+        assert counter_snapshot()["aggregate.windows_skipped"] == 1
+        covered = sorted((o.t_start, o.t_end) for o in outputs)
+        assert covered[0][0] == 3.0 and covered[-1][1] == 12.0
+        gaps = [
+            (a_end, b_start)
+            for (_, a_end), (b_start, _) in zip(covered, covered[1:])
+            if a_end != b_start
+        ]
+        # the hole itself (narrower than EPS: never a piece) and the
+        # 1.3 EPS of closes whose window starts in it
+        assert gaps == [
+            (5.0, 5.0 + 0.9e-9), (8.0 - 0.4e-9, 8.0 + 0.9e-9)
+        ]
+
+    def test_exact_abutments_skip_nothing(self):
+        agg = ContinuousSumAggregate("x", window=3.0)
+        for i in range(40):
+            agg.process(seg(0.7 * i, 0.7 * (i + 1), x=[1.0, 0.1 * i]))
+        assert agg.windows_skipped == 0
+
+
 def _numeric_window_integral(close, w, n=400):
     """Quadrature of the test signal defined in the emission test."""
     def signal(t):

@@ -129,6 +129,104 @@ class TestJoinPredicates:
         assert (out[0].t_start, out[0].t_end) == (3, 5)
 
 
+class TestEquiKeyPartitions:
+    @staticmethod
+    def _symbol_join(**kwargs):
+        pred = And(
+            Comparison(Attr("S.symbol"), Rel.EQ, Attr("L.symbol")),
+            lt("S.ap", "L.ap"),
+        )
+        return ContinuousJoin(pred, left_alias="S", right_alias="L", **kwargs)
+
+    @staticmethod
+    def _fold_lookups_for_last_arrival(live_keys):
+        """``memo.fold`` lookups made by one arrival of key ``k0`` while
+        ``live_keys`` keys hold three overlapping segments each."""
+        from repro.engine.metrics import counter_snapshot, reset_counters
+
+        j = TestEquiKeyPartitions._symbol_join(window=100.0)
+        for i in range(3):
+            for k in range(live_keys):
+                j.process(
+                    seg(i, i + 1, f"k{k}", {"symbol": f"k{k}"}, ap=[float(k)]),
+                    port=1,
+                )
+        reset_counters()
+        out = j.process(
+            seg(0, 3, "k0", {"symbol": "k0"}, ap=[-1.0]), port=0
+        )
+        snapshot = counter_snapshot("memo.fold")
+        return (
+            snapshot["memo.fold.hits"] + snapshot["memo.fold.misses"],
+            len(out),
+            j.pairs_rejected_discrete,
+        )
+
+    def test_fold_lookups_per_arrival_do_not_grow_with_live_keys(self):
+        # one lookup per same-key overlapping partner, none for the rest
+        assert self._fold_lookups_for_last_arrival(2) == (3, 3, 0)
+        assert self._fold_lookups_for_last_arrival(40) == (3, 3, 0)
+
+    def test_other_discrete_atoms_still_count_as_rejections(self):
+        pred = And(
+            Comparison(Attr("L.symbol"), Rel.EQ, Attr("R.symbol")),
+            Comparison(Attr("L.venue"), Rel.NE, Attr("R.venue")),
+        )
+        j = ContinuousJoin(pred)
+        j.process(seg(0, 5, "a", {"symbol": "x", "venue": "n"}, p=[0.0]), 0)
+        j.process(seg(0, 5, "b", {"symbol": "y", "venue": "m"}, p=[0.0]), 0)
+        out = j.process(
+            seg(0, 5, "c", {"symbol": "x", "venue": "n"}, p=[0.0]), 1
+        )
+        # ``b`` is in another partition and never probed; ``a`` is
+        # probed and rejected by the venue atom.
+        assert out == []
+        assert j.pairs_rejected_discrete == 1
+
+    def test_int_and_float_keys_share_a_partition(self):
+        j = self._symbol_join()
+        j.process(seg(0, 5, "a", {"symbol": 1}, ap=[0.0]), port=0)
+        out = j.process(seg(0, 5, "b", {"symbol": 1.0}, ap=[5.0]), port=1)
+        assert len(out) == 1
+
+    def test_segment_without_the_key_constant_probes_every_key(self):
+        from repro.core.errors import PulseError
+
+        j = self._symbol_join()
+        j.process(seg(0, 5, "a", {"symbol": "x"}, ap=[0.0]), port=0)
+        # No ``symbol`` to fold: the atom reaches the compiler, which
+        # refuses it — exactly what an unpartitioned probe does.
+        with pytest.raises(PulseError):
+            j.process(seg(0, 5, "b", ap=[5.0]), port=1)
+
+    def test_slack_system_comes_from_the_arrivals_partition(self):
+        j = self._symbol_join()
+        j.process(seg(0, 5, "a", {"symbol": "x"}, ap=[0.0]), port=1)
+        j.process(seg(0, 5, "b", {"symbol": "y"}, ap=[9.0]), port=1)
+        system = j.slack_system(seg(0, 5, "c", {"symbol": "x"}, ap=[1.0]))
+        assert system is not None and len(system.rows) == 1
+
+    def test_evict_skips_until_the_horizon_advances(self, monkeypatch):
+        from repro.core.segment import SegmentBuffer
+
+        calls = []
+        real = SegmentBuffer.evict_before
+        monkeypatch.setattr(
+            SegmentBuffer, "evict_before",
+            lambda self, w: calls.append(w) or real(self, w),
+        )
+        j = self._symbol_join(window=1.0)
+        j.process(seg(0, 1, "a", {"symbol": "x"}, ap=[0.0]), port=0)
+        j.process(seg(5, 6, "a", {"symbol": "x"}, ap=[0.0]), port=1)
+        assert calls == [-1.0, -1.0]  # both buffers, once
+        # the right side runs ahead: min(start watermarks) stays at 0
+        j.process(seg(6, 7, "a", {"symbol": "x"}, ap=[0.0]), port=1)
+        j.process(seg(7, 8, "a", {"symbol": "x"}, ap=[0.0]), port=1)
+        assert len(calls) == 2
+        j.process(seg(1, 2, "a", {"symbol": "x"}, ap=[0.0]), port=0)
+        assert calls[2:] == [0.0, 0.0]
+
+
 class TestJoinState:
     def test_window_evicts_old_segments(self):
         j = ContinuousJoin(lt("L.x", "R.y"), window=1.0)

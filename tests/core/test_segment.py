@@ -211,3 +211,63 @@ class TestSegmentBuffer:
         buf.insert(seg("a", 0, 5, x=[0.0]))
         buf.clear()
         assert len(buf) == 0
+
+    def test_clear_resets_the_watermark(self):
+        buf = SegmentBuffer()
+        buf.insert(seg("a", 0, 5, x=[0.0]))
+        buf.evict_before(3.0)
+        buf.clear()
+        assert buf.watermark == float("-inf")
+
+    def test_in_order_insert_touches_no_stored_segment(self, monkeypatch):
+        """An arrival starting at or after its key's last end changes
+        nothing stored: no predecessor is examined, restricted or
+        re-sorted, however long the key's list is."""
+        from repro.core import segment as segment_module
+
+        buf = SegmentBuffer()
+        for i in range(200):
+            buf.insert(seg("a", i, i + 1, x=[0.0]))
+        examined, restricted = [], []
+        real_update = segment_module.apply_update_semantics
+        real_restrict = Segment.restrict
+        monkeypatch.setattr(
+            segment_module, "apply_update_semantics",
+            lambda existing, incoming: examined.append(len(existing))
+            or real_update(existing, incoming),
+        )
+        monkeypatch.setattr(
+            Segment, "restrict",
+            lambda self, lo, hi: restricted.append(self)
+            or real_restrict(self, lo, hi),
+        )
+        buf.insert(seg("a", 200, 201, x=[0.0]))
+        buf.insert(seg("a", 201.5, 202, x=[0.0]))
+        assert examined == [0, 0] and restricted == []
+        # a revision examines only what it overlaps
+        buf.insert(seg("a", 200.5, 203, x=[1.0]))
+        assert examined[2:] == [2] and len(restricted) == 1
+        assert [(s.t_start, s.t_end) for s in buf.overlapping(199.5, 300)] == [
+            (199, 200), (200, 200.5), (200.5, 203),
+        ]
+
+    def test_partition_probe_visits_only_its_keys(self):
+        buf = SegmentBuffer()
+        buf.insert(seg("a", 0, 5, x=[0.0]), partition="p")
+        buf.insert(seg("b", 0, 5, x=[0.0]), partition="q")
+        buf.insert(seg("c", 0, 5, x=[0.0]), partition="p")
+        hits = [s.key for s in buf.overlapping(0, 5, partition="p")]
+        assert hits == [("a",), ("c",)]
+        assert list(buf.overlapping(0, 5, partition="r")) == []
+
+    def test_key_under_two_partitions_makes_probes_scan_until_it_dies(self):
+        buf = SegmentBuffer()
+        buf.insert(seg("a", 0, 5, x=[0.0]), partition="p")
+        buf.insert(seg("b", 0, 5, x=[0.0]), partition="q")
+        buf.insert(seg("a", 5, 9, x=[0.0]), partition="q")
+        keys = [s.key for s in buf.overlapping(0, 9, partition="q")]
+        assert keys == [("a",), ("a",), ("b",)]
+        buf.evict_before(9.0)
+        buf.insert(seg("b", 9, 12, x=[0.0]), partition="q")
+        buf.insert(seg("a", 9, 12, x=[0.0]), partition="p")
+        assert [s.key for s in buf.overlapping(0, 20, partition="q")] == [("b",)]

@@ -296,6 +296,15 @@ class TestWalRotation:
 # ----------------------------------------------------------------------
 # snapshots
 # ----------------------------------------------------------------------
+def _explode():
+    raise AttributeError("state of another layout was unpickled")
+
+
+class _ExplodesOnUnpickle:
+    def __reduce__(self):
+        return (_explode, ())
+
+
 class TestSnapshots:
     def test_write_read_round_trip(self, tmp_path):
         state = {"queues": [1, 2, 3], "nested": {"k": ("a", 0.5)}}
@@ -336,6 +345,25 @@ class TestSnapshots:
             fh.write(bytes([last[0] ^ 0xFF]))
         seq, state, path = load_latest_snapshot(tmp_path)
         assert (seq, state["epoch"]) == (5, "old")
+        assert get_counter("recovery.bad_snapshots").value == 1
+
+    def test_other_layout_version_is_skipped_never_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        """Operator state is pickled wholesale, so a snapshot written
+        before a layout change must not be loaded: it is skipped like a
+        damaged one and recovery takes the next candidate."""
+        from repro.engine import durability
+
+        write_snapshot(tmp_path, 5, {"epoch": "current"})
+        monkeypatch.setattr(durability, "SNAPSHOT_VERSION", 1)
+        stale = write_snapshot(tmp_path, 9, _ExplodesOnUnpickle())
+        monkeypatch.undo()
+        assert durability.SNAPSHOT_VERSION == 2
+        with pytest.raises(SnapshotError, match="version 1"):
+            read_snapshot(stale)
+        seq, state, _ = load_latest_snapshot(tmp_path)
+        assert (seq, state["epoch"]) == (5, "current")
         assert get_counter("recovery.bad_snapshots").value == 1
 
     def test_all_bad_falls_back_to_genesis(self, tmp_path):
@@ -414,14 +442,68 @@ def make_trace(n=40, seed=11):
     return out
 
 
+MACD_SQL = """
+select symbol, S.ap - L.ap as diff from
+    (select symbol, avg(price) as ap from trades [size 4 advance 1]) as S
+join
+    (select symbol, avg(price) as ap from trades [size 12 advance 1]) as L
+on (S.symbol = L.symbol)
+where S.ap > L.ap
+"""
+
+
+def make_macd_trace(n=150, seed=5):
+    """Three symbols, each a gapless run of short linear price models."""
+    rng = random.Random(seed)
+    ends = [0.0, 0.0, 0.0]
+    out = []
+    for i in range(n):
+        k = i % 3
+        lo, hi = ends[k], ends[k] + rng.uniform(0.4, 0.9)
+        ends[k] = hi
+        out.append(
+            Segment(
+                (f"sym{k}",), lo, hi,
+                {"price": Polynomial([50.0 + 10 * k + rng.uniform(-2, 2),
+                                      rng.uniform(-0.5, 0.5)])},
+                constants={"symbol": f"sym{k}"},
+            )
+        )
+    return out
+
+
+def _assert_macd_state_is_warm(query):
+    """Both windows have emitted and hold several pieces, and the join
+    holds partitioned state: the snapshot carries every new container."""
+    from repro.core.operators import ContinuousGroupBy, ContinuousJoin
+
+    ops = query.plan.operators()
+    aggregates = [
+        agg
+        for op in ops if isinstance(op, ContinuousGroupBy)
+        for _, agg in op.iter_group_items()
+    ]
+    assert sorted({agg.window for agg in aggregates}) == [4.0, 12.0]
+    for agg in aggregates:
+        assert len(agg._cum) > 3
+        assert agg._emitted_to > agg._signal_start + agg.window
+    (join,) = [op for op in ops if isinstance(op, ContinuousJoin)]
+    assert all(buf._partitions and len(buf) for buf in join._buffers)
+
+
 class TestRuntimeRecovery:
-    def _runtime(self, tmp_path=None, **kw):
+    def _runtime(self, tmp_path=None, queries=None, **kw):
         dur = (
             Durability(tmp_path, fsync_every=1) if tmp_path is not None else None
         )
         rt = QueryRuntime(batch_size=4, durability=dur, **kw)
-        rt.register("pos", to_continuous_plan(planned(0)))
-        rt.register("hi", to_continuous_plan(planned(3)))
+        if queries is None:
+            queries = {
+                "pos": to_continuous_plan(planned(0)),
+                "hi": to_continuous_plan(planned(3)),
+            }
+        for name, query in queries.items():
+            rt.register(name, query)
         return rt
 
     def test_checkpoint_without_durability_raises(self):
@@ -440,44 +522,97 @@ class TestRuntimeRecovery:
         with resolve():
             self._crash_replay(tmp_path)
 
-    def _crash_replay(self, tmp_path):
-        trace = make_trace()
-        crash_at = 27
+    def test_crash_replay_of_warm_window_and_join_state_is_bit_exact(
+        self, tmp_path
+    ):
+        """The MACD shape: the checkpoint lands while both sliding
+        windows are full and the join's partitions are populated, so
+        the ordered containers (and the indexes rebuilt on load) carry
+        the reborn runtime through 30 more arrivals."""
+
+        def queries():
+            return {
+                "macd": to_continuous_plan(plan_query(parse_query(MACD_SQL)))
+            }
+
+        outputs = self._crash_replay(
+            tmp_path, queries, make_macd_trace(), "trades",
+            checkpoint_at=90, crash_at=120,
+            at_checkpoint=lambda qs: _assert_macd_state_is_warm(qs["macd"]),
+        )
+        assert len(outputs["macd"]) > 10
+
+    def test_snapshot_of_another_layout_is_passed_over_on_restore(
+        self, tmp_path, monkeypatch
+    ):
+        """A newer snapshot file of version 1 sits beside the current
+        one: restore counts it, takes the older valid one and replays
+        the WAL tail — no exception from foreign state mid-replay."""
+        from repro.engine import durability
+
+        trace = make_trace(n=12)
+        victim = self._runtime(tmp_path)
+        for item in trace[:6]:
+            victim.enqueue("s", item)
+        victim.run_until_idle()
+        victim.checkpoint()
+        for item in trace[6:]:
+            victim.enqueue("s", item)
+        victim.run_until_idle()
+        victim._durability.wal.sync()
+        monkeypatch.setattr(durability, "SNAPSHOT_VERSION", 1)
+        write_snapshot(tmp_path, 9, _ExplodesOnUnpickle())
+        monkeypatch.undo()
+
+        reborn = self._runtime(tmp_path)
+        report = reborn.restore()
+        assert get_counter("recovery.bad_snapshots").value == 1
+        assert (report.snapshot_seq, report.replayed) == (6, 6)
+        assert reborn.ingest_seq == 12
+
+    def _crash_replay(
+        self, tmp_path, queries=lambda: None, trace=None, stream="s",
+        checkpoint_at=15, crash_at=27, at_checkpoint=None,
+    ):
+        trace = make_trace() if trace is None else trace
 
         # Reference: never dies; drain outputs at the crash boundary so
         # only post-crash outputs are compared (replay discards its own).
-        ref = self._runtime()
+        ref = self._runtime(queries=queries())
         for item in trace[:crash_at]:
-            ref.enqueue("s", item)
+            ref.enqueue(stream, item)
         ref.run_until_idle()
         for name in ref.query_names:
             ref.outputs(name)  # drain
         for item in trace[crash_at:]:
-            ref.enqueue("s", item)
+            ref.enqueue(stream, item)
         ref.run_until_idle()
         ref_outputs = {n: ref.outputs(n) for n in ref.query_names}
         ref_stats = dict(ref.stats())
 
         # Victim: checkpoint mid-stream, then die without closing.
-        victim = self._runtime(tmp_path)
-        for item in trace[:15]:
-            victim.enqueue("s", item)
+        victim_queries = queries()
+        victim = self._runtime(tmp_path, queries=victim_queries)
+        for item in trace[:checkpoint_at]:
+            victim.enqueue(stream, item)
         victim.run_until_idle()
+        if at_checkpoint is not None:
+            at_checkpoint(victim_queries)
         victim.checkpoint()
-        for item in trace[15:crash_at]:
-            victim.enqueue("s", item)
+        for item in trace[checkpoint_at:crash_at]:
+            victim.enqueue(stream, item)
         victim.run_until_idle()
         victim._durability.wal.sync()  # simulate durable-at-crash tail
 
         # Reborn process: restore, then feed the rest of the trace.
-        reborn = self._runtime(tmp_path)
+        reborn = self._runtime(tmp_path, queries=queries())
         report = reborn.restore()
-        assert report.snapshot_seq == 15
-        assert report.replayed == crash_at - 15
+        assert report.snapshot_seq == checkpoint_at
+        assert report.replayed == crash_at - checkpoint_at
         assert report.recovered_seq == crash_at
         assert reborn.ingest_seq == crash_at
         for item in trace[crash_at:]:
-            reborn.enqueue("s", item)
+            reborn.enqueue(stream, item)
         reborn.run_until_idle()
 
         for name in ref_outputs:
@@ -494,6 +629,7 @@ class TestRuntimeRecovery:
         assert dict(reborn.stats()) == ref_stats
         reborn.close()
         ref.close()
+        return ref_outputs
 
     def test_restore_from_genesis_replays_everything(self, tmp_path):
         trace = make_trace(n=10)

@@ -1,0 +1,65 @@
+"""The benchmark's continuous inputs through the in-process reference.
+
+``benchmarks/e2e`` checks every server run against
+``reference.py::reference_results``; here the same reference runs over a
+prefix of each continuous workload's input (both modules imported
+read-only) so that what the benchmark cannot see from outside is
+asserted in tier-1: no sum/avg window-function piece is lost to a
+sub-EPS hole between cumulative pieces.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.engine.metrics import counter_snapshot, reset_counters
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+
+#: Tuples per workload: past the first full window, well under a second.
+PREFIX = {
+    "fit_filter_smooth": 6_000,
+    "macd_churn": 8_000,
+    "following_churn": 3_000,
+}
+
+
+@pytest.fixture(scope="module")
+def e2e():
+    sys.path.insert(0, str(E2E))
+    try:
+        import reference
+        import workloads
+
+        yield reference, workloads
+    finally:
+        sys.path.remove(str(E2E))
+        for name in ("reference", "workloads"):
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX))
+def test_reference_run_skips_no_window_function(e2e, name):
+    reference, workloads = e2e
+    workload = workloads.WORKLOADS[name]
+    assert workload.mode == "continuous"
+    tuples, _ = workload.generate(11, PREFIX[name])
+    reset_counters()
+    rows, _ = reference.reference_results(workload, tuples, flush=True)
+    assert rows
+    assert counter_snapshot().get("aggregate.windows_skipped", 0) == 0
+
+
+def test_profile_tool_runs_a_workload():
+    """``tools/profile_workload.py`` is where a perf issue starts."""
+    import subprocess
+
+    tool = E2E.parents[1] / "tools" / "profile_workload.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "fit_filter_smooth",
+         "--tuples", "1500", "--sort", "tottime", "--top", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "result_digest" in done.stdout.splitlines()[-1]

@@ -34,7 +34,7 @@ from repro.core.solve_cache import (
 )
 from repro.core.transform import to_continuous_plan
 from repro.engine import tracing
-from repro.engine.metrics import reset_counters
+from repro.engine.metrics import counter_snapshot, reset_counters
 from repro.engine.scheduler import QueryRuntime
 from repro.engine.tracing import TraceError, build_span_tree, read_trace
 from repro.query import parse_query, plan_query
@@ -113,6 +113,12 @@ def run_traced_scenario(sql: str, num_shards: int, trace_path) -> list[dict]:
     return [normalize(s.to_record()) for s in spans]
 
 
+def _assert_no_window_function_vanished():
+    """Counters were reset when the scenario started: sum/avg must not
+    have dropped a window-function piece into a sub-EPS hole."""
+    assert counter_snapshot().get("aggregate.windows_skipped", 0) == 0
+
+
 def normalize(record: dict) -> dict:
     return {f: record.get(f) for f in _STABLE_FIELDS}
 
@@ -123,6 +129,7 @@ def test_trace_matches_golden(scenario, tmp_path, update_goldens):
     actual = run_traced_scenario(
         sql, num_shards, tmp_path / "trace.jsonl"
     )
+    _assert_no_window_function_vanished()
     golden_path = GOLDEN_DIR / f"trace_{scenario}.json"
     if update_goldens:
         golden_path.parent.mkdir(parents=True, exist_ok=True)
@@ -213,6 +220,7 @@ def test_multisub_trace_matches_golden(tmp_path, update_goldens):
     assert set(delivered) == {1, 2}
     assert delivered[1] == delivered[2]
     assert len(delivered[1]) > 0
+    _assert_no_window_function_vanished()
     golden_path = GOLDEN_DIR / "trace_multisub.json"
     if update_goldens:
         golden_path.parent.mkdir(parents=True, exist_ok=True)
