@@ -70,6 +70,17 @@ def system_instrumentation() -> tuple:
     return (_SPAN_SYSTEM, _SPAN_BATCH)
 
 
+#: Bare numerical errors a solve wraps as ``SolverFailure("internal")``.
+_NUMERIC_FAULTS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _internal_failure(exc: Exception) -> SolverFailure:
+    """``exc`` wrapped as ``SolverFailure("internal")``, chained to it."""
+    failure = SolverFailure("internal", f"{type(exc).__name__}: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
 _row_solve_counter = None
 
 
@@ -283,10 +294,8 @@ class EquationSystem:
             return self.evaluate_structure(self.solve_rows(lo, hi), lo, hi)
         except SolverError:
             raise
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            raise SolverFailure(
-                "internal", f"{type(exc).__name__}: {exc}"
-            ) from exc
+        except _NUMERIC_FAULTS as exc:
+            raise _internal_failure(exc) from exc
 
     def check_budget(self) -> None:
         """Enforce the configured per-system row budget."""
@@ -518,6 +527,10 @@ def solve_systems_batch(
     With a ``failures`` dict, a failing system records its typed error
     under its job index (result ``TimeSet.empty()``) instead of sinking
     the whole sweep — one poisoned candidate pair costs only itself.
+    As in :meth:`EquationSystem.solve`, a bare numerical error surfaces
+    as ``SolverFailure("internal")``; one that breaks the pooled sweep
+    itself is charged, like any failure, only to the job that raises it
+    when solved alone.
     """
     hook = _SPAN_BATCH
     if hook is None:
@@ -543,45 +556,82 @@ def _solve_systems_batch_impl(
                 and len(system.rows) > 1
             )
         ):
-            try:
-                results[ji] = system.solve(lo, hi)
-            except SolverError as exc:
-                if failures is None:
-                    raise
-                failures[ji] = exc
-                results[ji] = TimeSet.empty()
+            _solve_alone(jobs, ji, results, failures)
             continue
         try:
             system.check_budget()
         except SolverError as exc:
-            if failures is None:
-                raise
-            failures[ji] = exc
-            results[ji] = TimeSet.empty()
+            _charge(failures, ji, results, exc)
             continue
         start = len(tasks)
         tasks.extend((r.poly, r.rel, lo, hi) for r in system.rows)
         row_solve_counter().bump(len(system.rows))
         spans.append((ji, start, len(tasks)))
-    if tasks:
-        task_failures: dict[int, SolverError] | None = (
-            None if failures is None else {}
-        )
+    if not tasks:
+        return results  # type: ignore[return-value]
+    task_failures: dict[int, SolverError] | None = (
+        None if failures is None else {}
+    )
+    try:
         solved = solve_tasks(tasks, failures=task_failures)
-        for ji, start, stop in spans:
-            system, lo, hi = jobs[ji]
-            if task_failures:
-                bad = [
-                    task_failures[k]
-                    for k in range(start, stop)
-                    if k in task_failures
-                ]
-                if bad:
-                    failures[ji] = bad[0]  # type: ignore[index]
-                    results[ji] = TimeSet.empty()
-                    continue
-            results[ji] = system.evaluate_structure(solved[start:stop], lo, hi)
+    except SolverError:
+        raise
+    except _NUMERIC_FAULTS as exc:
+        if failures is None:
+            raise _internal_failure(exc) from exc
+        # The pooled sweep cannot say whose row broke it: solve its
+        # jobs one by one so only the offending one is charged.
+        for ji, _, _ in spans:
+            _solve_alone(jobs, ji, results, failures)
+        return results  # type: ignore[return-value]
+    for ji, start, stop in spans:
+        system, lo, hi = jobs[ji]
+        if task_failures:
+            bad = [
+                task_failures[k]
+                for k in range(start, stop)
+                if k in task_failures
+            ]
+            if bad:
+                _charge(failures, ji, results, bad[0])
+                continue
+        try:
+            results[ji] = system.evaluate_structure(
+                solved[start:stop], lo, hi
+            )
+        except SolverError as exc:
+            _charge(failures, ji, results, exc)
+        except _NUMERIC_FAULTS as exc:
+            _charge(failures, ji, results, _internal_failure(exc))
     return results  # type: ignore[return-value]
+
+
+def _solve_alone(
+    jobs: Sequence[tuple["EquationSystem", float, float]],
+    ji: int,
+    results: list,
+    failures: dict[int, SolverError] | None,
+) -> None:
+    """Job ``ji`` through :meth:`EquationSystem.solve` into ``results``."""
+    system, lo, hi = jobs[ji]
+    try:
+        results[ji] = system.solve(lo, hi)
+    except SolverError as exc:
+        _charge(failures, ji, results, exc)
+
+
+def _charge(
+    failures: dict[int, SolverError] | None,
+    ji: int,
+    results: list,
+    exc: SolverError,
+) -> None:
+    """Job ``ji`` failed: raise ``exc`` or, given a ``failures`` dict,
+    record it there and leave the job's result empty."""
+    if failures is None:
+        raise exc
+    failures[ji] = exc
+    results[ji] = TimeSet.empty()
 
 
 #: Sentinel distinguishing "inconsistent system" from "no candidate row".

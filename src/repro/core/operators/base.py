@@ -23,7 +23,7 @@ Three pieces live here because every selective operator needs them:
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..delta import LruMemo, SolutionStore
 from ..equation_system import EquationSystem
@@ -55,6 +55,25 @@ class ContinuousOperator:
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
         """Consume one input segment; return the output segments."""
         raise NotImplementedError
+
+    def process_run(
+        self, segments: Sequence[Segment], port: int = 0
+    ) -> Iterator[list[Segment]]:
+        """Consume consecutive inputs on ``port``; yield each one's outputs.
+
+        The plan hands over every run of queue entries bound for this
+        operator and port back to back (see
+        :meth:`~repro.core.plan.ContinuousPlan._cascade`), so an
+        override may do the whole run's work at once — the filter pools
+        its solves into one kernel sweep.  It must still yield one
+        output list per input, in input order, and surface input ``k``'s
+        failure only when asked for input ``k``'s outputs, after those
+        of the inputs before it: the plan does each input's bookkeeping
+        as its outputs arrive.  The default calls :meth:`process` per
+        input, lazily, which is what every stateful operator needs.
+        """
+        for segment in segments:
+            yield self.process(segment, port)
 
     def flush(self) -> list[Segment]:
         """Emit any outputs still buffered at end of stream."""

@@ -57,12 +57,14 @@ class NodeRef:
 #: by the lineage store during validated execution.
 StepObserver = Callable[[PlanNode, Segment, list[Segment]], None]
 
-#: Context-manager factory wrapping each operator ``process`` call,
-#: installed by :func:`repro.engine.tracing.enable_observability`; called
-#: with ``(label, node_id)``.  Unlike :data:`StepObserver` (which fires
-#: *after* a step), this wraps the step, so solve spans opened inside
-#: ``process`` nest under the operator span.  ``None`` (the default)
-#: keeps the cascade at one global load + ``is None`` test per step.
+#: Context-manager factory wrapping each run an operator processes (see
+#: :meth:`ContinuousPlan._cascade`), installed by
+#: :func:`repro.engine.tracing.enable_observability`; called with
+#: ``(label, node_id, run_length)``.  Unlike :data:`StepObserver` (which
+#: fires *after* each input's step), this wraps the whole run, so solve
+#: spans opened while the run is processed nest under the operator span.
+#: ``None`` (the default) keeps the cascade at one global load + ``is
+#: None`` test per run.
 _OPERATOR_TRACE: Callable | None = None
 
 
@@ -228,22 +230,50 @@ class ContinuousPlan:
         initial: list[tuple[int, int, Segment]],
         results: list[Segment],
     ) -> None:
+        """Drain the FIFO cascade, handing each operator whole runs.
+
+        A run is the maximal stretch of consecutive queue entries bound
+        for the same ``(node, port)``.  FIFO order processes those back
+        to back with nothing in between, so handing them over at once
+        changes no order anywhere: the operator sees the same inputs in
+        the same sequence, and each input's counters, observers and
+        output routing happen as its outputs are drawn from
+        :meth:`~ContinuousOperator.process_run` — before the next
+        input's are, exactly as one ``process`` call per entry did.
+        """
         queue: deque[tuple[int, int, Segment]] = deque(initial)
         while queue:
             node_id, port, seg = queue.popleft()
+            run = [seg]
+            while queue and queue[0][0] == node_id and queue[0][1] == port:
+                run.append(queue.popleft()[2])
             node = self._nodes[node_id]
-            node.segments_in += 1
             hook = _OPERATOR_TRACE
             if hook is None:
-                outputs = node.operator.process(seg, port)
+                self._deliver(node, port, run, queue, results)
             else:
-                with hook(node.label, node_id):
-                    outputs = node.operator.process(seg, port)
+                with hook(node.label, node_id, len(run)):
+                    self._deliver(node, port, run, queue, results)
+
+    def _deliver(
+        self,
+        node: PlanNode,
+        port: int,
+        run: list[Segment],
+        queue: deque[tuple[int, int, Segment]],
+        results: list[Segment],
+    ) -> None:
+        """One run through ``node``; outputs join the queue per input."""
+        steps = node.operator.process_run(run, port)
+        to_output = node.node_id == self._output_id
+        for seg in run:
+            node.segments_in += 1
+            outputs = next(steps)
             node.segments_out += len(outputs)
             for observer in self._observers:
                 observer(node, seg, outputs)
             for out in outputs:
-                if node_id == self._output_id:
+                if to_output:
                     results.append(out)
                 for succ_id, succ_port in node.successors:
                     queue.append((succ_id, succ_port, out))

@@ -10,7 +10,7 @@ the full life of an arrival::
     ├─ prime                    sharded prefill sweep (shards > 1)
     │  └─ solve ─ root_query    predicted tasks through the cache funnel
     └─ arrival                  one queued item being processed
-       ├─ operator              one plan node processing one segment
+       ├─ operator              one plan node processing one run of inputs
        │  └─ solve              an equation-system / cache-funnel solve
        │     └─ root_query      the kernel's root-finding stage
        └─ emit                  outputs appended for this arrival
@@ -701,26 +701,33 @@ class _OperatorSite:
     ``_cascade`` runs plan nodes in a loop (never one inside another),
     so a single slot of per-call state suffices; the busy flag guards
     the theoretical nested case.  Like the timed sites, finished spans
-    land in the pending buffer as flat tuples.
+    land in the pending buffer as flat tuples; a run of several inputs
+    also records its length as ``segments``, so it lands as a
+    :class:`Span` (a run of one keeps the one-attribute record).
     """
 
-    __slots__ = ("tracer", "_label", "_node_id", "_sid", "_parent",
-                 "_t0", "_busy")
+    __slots__ = ("tracer", "_label", "_node_id", "_segments", "_sid",
+                 "_parent", "_t0", "_busy")
 
     def __init__(self, tracer: Tracer):
         self.tracer = tracer
         self._label = ""
         self._node_id = 0
+        self._segments = 1
         self._sid = 0
         self._parent = None
         self._t0 = 0.0
         self._busy = False
 
-    def __call__(self, label: str, node_id: int):
+    def __call__(self, label: str, node_id: int, segments: int = 1):
         if self._busy:
-            return self.tracer.span(label, "operator", node_id=node_id)
+            attrs = {"node_id": node_id}
+            if segments > 1:
+                attrs["segments"] = segments
+            return self.tracer.span(label, "operator", **attrs)
         self._label = label
         self._node_id = node_id
+        self._segments = segments
         return self
 
     def __enter__(self):
@@ -746,11 +753,17 @@ class _OperatorSite:
             stack.remove(sid)
         tracer.spans_emitted += 1
         pending = tracer._pending
-        pending.append((
-            sid, self._parent, self._label, "operator",
-            self._t0 - tracer._t0, raw - tracer._t0,
-            "node_id", self._node_id, None,
-        ))
+        t0, t1 = self._t0 - tracer._t0, raw - tracer._t0
+        if self._segments > 1:
+            pending.append(Span(
+                sid, self._parent, self._label, "operator", t0, t1,
+                {"node_id": self._node_id, "segments": self._segments},
+            ))
+        else:
+            pending.append((
+                sid, self._parent, self._label, "operator", t0, t1,
+                "node_id", self._node_id, None,
+            ))
         if len(pending) >= tracer._buffer_limit:
             tracer._drain()
         self._busy = False

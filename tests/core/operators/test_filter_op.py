@@ -152,3 +152,79 @@ class TestLookupBudget:
                  "memo.filter_segment", "memo.join_pair", "memo.system")
             )
         ]
+
+
+class TestRuns:
+    """A run of inputs costs one kernel sweep, whatever its length."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        from repro.core import batch_solver
+        from repro.core.solve_cache import reset_global_solve_cache
+
+        calls: list[int] = []
+        real = batch_solver.solve_relation_batch
+
+        def counting(tasks, failures=None):
+            calls.append(len(tasks))
+            return real(tasks, failures)
+
+        reset_global_solve_cache()
+        monkeypatch.setattr(batch_solver, "solve_relation_batch", counting)
+        yield calls
+        reset_global_solve_cache()
+
+    @staticmethod
+    def _run(n):
+        # distinct content, every piece crossing zero: n real solves
+        return [seg(0, 10, x=[-1.0 - 0.5 * i, 1.0]) for i in range(n)]
+
+    @staticmethod
+    def _spans(outputs):
+        return [[(s.t_start, s.t_end) for s in out] for out in outputs]
+
+    def test_sixteen_solves_one_kernel_call(self, kernel_calls):
+        run = self._run(16)
+        f = ContinuousFilter(pred("x", Rel.GT, 0.0))
+        outputs = list(f.process_run(run))
+        assert f.systems_solved == 16
+        assert kernel_calls == [16]
+        # one input at a time, the same solves cost a call each
+        from repro.core.solve_cache import reset_global_solve_cache
+
+        reset_global_solve_cache()
+        kernel_calls.clear()
+        g = ContinuousFilter(pred("x", Rel.GT, 0.0))
+        assert self._spans(g.process(s) for s in run) == self._spans(outputs)
+        assert kernel_calls == [1] * 16
+
+    def test_plan_hands_the_filter_its_run(self, kernel_calls):
+        from repro.core.operators.base import ContinuousOperator
+        from repro.core.plan import ContinuousPlan
+
+        run = self._run(16)
+
+        class Split(ContinuousOperator):
+            def process(self, segment, port=0):
+                return run
+
+        plan = ContinuousPlan()
+        src = plan.add_source("in")
+        split = plan.add_operator(Split(), [src])
+        f = ContinuousFilter(pred("x", Rel.GT, 0.0))
+        plan.set_output(plan.add_operator(f, [split]))
+        out = plan.push("in", seg(0, 1))
+        assert len(out) == 16
+        assert kernel_calls == [16]
+        assert plan.node(split).segments_out == 16
+
+    def test_repeated_content_solves_once(self, kernel_calls):
+        first = seg(0, 10, x=[-4.0, 1.0])
+        again = seg(0, 10, x=[-4.0, 1.0])
+        assert first.content_sig == again.content_sig
+        f = ContinuousFilter(pred("x", Rel.GT, 0.0))
+        outputs = list(f.process_run([first, again]))
+        # the second input is the store hit it is one at a time
+        assert f.systems_solved == 1
+        assert kernel_calls == [1]
+        assert self._spans(outputs) == [[(4.0, 10.0)], [(4.0, 10.0)]]

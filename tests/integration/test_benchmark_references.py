@@ -51,15 +51,31 @@ def test_reference_run_skips_no_window_function(e2e, name):
     assert counter_snapshot().get("aggregate.windows_skipped", 0) == 0
 
 
-def test_profile_tool_runs_a_workload():
-    """``tools/profile_workload.py`` is where a perf issue starts."""
+def _run_profile_tool(*args):
     import subprocess
 
     tool = E2E.parents[1] / "tools" / "profile_workload.py"
     done = subprocess.run(
-        [sys.executable, str(tool), "fit_filter_smooth",
-         "--tuples", "1500", "--sort", "tottime", "--top", "3"],
+        [sys.executable, str(tool), *args, "--sort", "tottime", "--top", "3"],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "result_digest" in done.stdout.splitlines()[-1]
+    return done.stdout.splitlines()[-1]
+
+
+def test_profile_tool_runs_a_workload():
+    """``tools/profile_workload.py`` is where a perf issue starts."""
+    last = _run_profile_tool("fit_filter_smooth", "--tuples", "1500")
+    assert "result_digest" in last
+
+
+def test_profile_tool_profiles_the_saturate_slice(e2e):
+    """The warm-up and paced input replay unprofiled; only (the first
+    300 tuples of) the benchmark's saturate slice is profiled."""
+    _, workloads = e2e
+    _, start, _ = workloads.WORKLOADS["macd_churn_fleet2"].offsets(12)
+    last = _run_profile_tool(
+        "macd_churn_fleet2", "--window", "saturate", "--tuples", "300"
+    )
+    assert "result_digest" in last
+    assert f"tuples {start}-{start + 300} profiled of {start + 300}" in last

@@ -15,24 +15,29 @@ tests and tools — none of them is reachable from ``src/``:
 * **linear operator state** — the windowed operators' containers as
   plain lists walked end to end on every arrival: what the ordered,
   bisect-indexed sum/avg pieces and ``SegmentBuffer`` replaced, and a
-  join that probes every stored key whatever its predicate.
+  join that probes every stored key whatever its predicate;
+* **segment-at-a-time cascade** — the plan executor calling one
+  ``process`` per queue entry instead of handing each operator its
+  runs (what ``ContinuousPlan._cascade`` did before runs).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core import batch_solver
+from repro.core import batch_solver, plan as plan_module
 from repro.core.delta import SolutionStore
 from repro.core.equation_system import EquationSystem
 from repro.core.intervals import EPS, Interval, TimeSet
 from repro.core.operators import ContinuousJoin
 from repro.core.operators.aggregate_sum import ContinuousSumAggregate
 from repro.core.piecewise import Piece
+from repro.core.plan import ContinuousPlan
 from repro.core.roots import solve_relation
 from repro.core.segment import Key, Segment, apply_update_semantics
 
@@ -251,3 +256,41 @@ class ScanningJoin(ContinuousJoin):
         if horizon > float("-inf"):
             for buf in self._buffers:
                 buf.evict_before(horizon)
+
+
+# ----------------------------------------------------------------------
+# segment-at-a-time cascade
+# ----------------------------------------------------------------------
+def segment_cascade(self, initial, results) -> None:
+    """``ContinuousPlan._cascade`` as it was before runs, verbatim but
+    for the module-qualified hook: one ``process`` call per entry."""
+    queue: deque[tuple[int, int, Segment]] = deque(initial)
+    while queue:
+        node_id, port, seg = queue.popleft()
+        node = self._nodes[node_id]
+        node.segments_in += 1
+        hook = plan_module._OPERATOR_TRACE
+        if hook is None:
+            outputs = node.operator.process(seg, port)
+        else:
+            with hook(node.label, node_id):
+                outputs = node.operator.process(seg, port)
+        node.segments_out += len(outputs)
+        for observer in self._observers:
+            observer(node, seg, outputs)
+        for out in outputs:
+            if node_id == self._output_id:
+                results.append(out)
+            for succ_id, succ_port in node.successors:
+                queue.append((succ_id, succ_port, out))
+
+
+@contextmanager
+def segment_at_a_time() -> Iterator[None]:
+    """Run every plan through :func:`segment_cascade` inside the block."""
+    real = ContinuousPlan._cascade
+    ContinuousPlan._cascade = segment_cascade
+    try:
+        yield
+    finally:
+        ContinuousPlan._cascade = real
