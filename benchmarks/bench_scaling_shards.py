@@ -1,11 +1,13 @@
-"""Shard-scaling benchmark: serial vs key-sharded continuous runtime.
+"""Shard-scaling benchmark: unprimed vs round-primed continuous runtime.
 
 A 4-key filter+join trace (256 rows per key, degree-3 models with
-densely overlapping long segments) runs once through the serial
-runtime (``num_shards=1``, direct per-segment solves) and once per
-requested shard count through the sharded runtime (coefficient-batched
-solve dispatch plus round-level task prefill, ``parallel="auto"``).
-The run asserts bit-exact output parity and identical
+densely overlapping long segments) runs once through the unprimed
+runtime (``num_shards=1``, per-arrival solves) and once per requested
+shard count with round priming on (``num_shards > 1``: each drain
+round's predicted solve tasks are pre-solved in one in-process
+``solve_tasks`` sweep before the round is processed).  Every count
+above 1 runs the same code, so the speedup is what pooling a round's
+solves into one sweep buys, not parallelism.  The run asserts bit-exact output parity and identical
 ``equation_system`` counter totals (``row_solves`` counts every row
 solved regardless of which cache layer answered it) between every
 configuration before it reports any timing, so a recorded speedup can
@@ -40,10 +42,7 @@ from harness import record_result  # noqa: E402
 
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
-from repro.core.solve_cache import (
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import tracing
 from repro.engine.metrics import counter_snapshot, reset_counters
@@ -142,7 +141,6 @@ def make_trace(rows_per_key: int, seed: int = SEED):
 def run_once(num_shards: int, events):
     """One full trace through a fresh runtime; returns timing + state."""
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     rt = QueryRuntime(num_shards=num_shards, batch_size=BATCH_SIZE)
     try:
@@ -418,19 +416,9 @@ def run_experiment(
         f"throughput_shards_{top}"
     ]
     metrics["max_shards"] = top
-    top_stats = results[top]["parallel_stats"]
-    metrics["rows_dispatched"] = top_stats.get("rows_dispatched", 0)
-    # Honesty fields for the harness: did the top-shard run actually
-    # execute on process-parallel workers, and over which transport?
-    # ``parallel_effective`` in the recorded JSON derives from these —
-    # a 1-core host reports false, so caching/batch-amortization
-    # speedups can't be misread as parallel scaling.
-    metrics["parallel_used"] = bool(top_stats.get("parallel", False)) and (
-        len(top_stats.get("inline_shards", [])) < top
-    )
-    metrics["transport"] = top_stats.get("transport", "pickle")
-    metrics["shm_rounds"] = top_stats.get("shm_rounds", 0)
-    metrics["shm_bytes_shipped"] = top_stats.get("shm_bytes_shipped", 0)
+    top_stats = results[top]["parallel_stats"] or {}
+    metrics["rounds_primed"] = top_stats.get("rounds_primed", 0)
+    metrics["tasks_primed"] = top_stats.get("tasks_primed", 0)
     metrics.update(measure_observability_overhead(events))
     return metrics
 
@@ -453,6 +441,11 @@ def test_scaling_shards(benchmark, report):
             f"({r[f'speedup_shards_{n}']:.2f}x, "
             f"{r[f'throughput_shards_{n}']:,.0f} ev/s)"
         )
+    lines.append(
+        f"round priming at shards>1: {r['rounds_primed']} rounds, "
+        f"{r['tasks_primed']} tasks pre-solved in one sweep per round "
+        f"(in-process; no worker processes)"
+    )
     lines.append(
         f"observability overhead (serial, metrics+tracing on vs off): "
         f"{r['observability_overhead_frac'] * 100:.1f}%"
@@ -479,7 +472,7 @@ def main(argv=None) -> int:
                         help="rows per key")
     parser.add_argument("--shards", default=",".join(map(str, SHARDS)),
                         help="comma-separated shard counts; first is "
-                        "the serial baseline")
+                        "the baseline (above 1 primes each round)")
     parser.add_argument("--rounds", type=int, default=ROUNDS,
                         help="best-of-N timing rounds")
     args = parser.parse_args(argv)
@@ -493,6 +486,10 @@ def main(argv=None) -> int:
             f"({r[f'speedup_shards_{n}']:.2f}x, "
             f"{r[f'throughput_shards_{n}']:,.0f} ev/s)"
         )
+    print(
+        f"round priming: {r['rounds_primed']} rounds, "
+        f"{r['tasks_primed']} tasks pre-solved"
+    )
     print(
         f"observability overhead: "
         f"{r['observability_overhead_frac'] * 100:.1f}%"

@@ -42,10 +42,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from harness import record_result  # noqa: E402
 
-from repro.core.solve_cache import (  # noqa: E402
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache  # noqa: E402
 from repro.core.transform import TransformedQuery, to_continuous_plan  # noqa: E402
 from repro.engine.metrics import get_counter, reset_counters  # noqa: E402
 from repro.engine.scheduler import QueryRuntime  # noqa: E402
@@ -113,7 +110,6 @@ def canon(outputs) -> list:
 
 def _reset() -> None:
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
 
 

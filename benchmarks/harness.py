@@ -138,15 +138,9 @@ def record_result(
         if not effective:
             print(
                 f"[harness] WARNING: BENCH_{name} ran "
-                f"{metrics.get('max_shards')} shards on "
-                f"{doc['cpu_count']} CPU(s)"
-                + (
-                    " without process-parallel workers"
-                    if metrics.get("parallel_used") is False
-                    else ""
-                )
-                + " — any speedup is caching/batching, not parallel "
-                "scaling (parallel_effective=false).",
+                f"{metrics.get('max_shards')} worker processes on "
+                f"{doc['cpu_count']} CPU(s) — any speedup is pipelining "
+                "overlap, not parallel scaling (parallel_effective=false).",
                 file=sys.stderr,
             )
     doc["metrics"] = dict(metrics)
@@ -159,25 +153,20 @@ def record_result(
 def _parallel_effective(
     metrics: Mapping[str, Any], cpu_count: int
 ) -> bool | None:
-    """Whether a sharded run's speedup can honestly be called parallel.
+    """Whether a multi-process run's speedup can honestly be called parallel.
 
-    ``None`` (field omitted) for benchmarks that don't report a
-    ``max_shards`` — the flag only means something for shard-scaling
-    runs.  ``False`` when the host has fewer CPUs than shards (the
-    shards time-slice one core, so any speedup is caching/batch
-    amortization) or when the run itself reports it executed without
-    process-parallel workers (``parallel_used: false`` — e.g. the
-    dispatcher's inline fallback on a 1-core host).
+    ``None`` (field omitted) unless the benchmark runs its ``max_shards``
+    workers as separate processes (``parallel_used: true`` — the router
+    fleet bench).  ``False`` when the host has fewer CPUs than workers:
+    they time-slice the cores, so any speedup is pipelining overlap.
     """
     shards = metrics.get("max_shards")
-    if shards is None:
+    if shards is None or not metrics.get("parallel_used"):
         return None
     try:
         shards = int(shards)
     except (TypeError, ValueError):
         return None
-    if metrics.get("parallel_used") is False:
-        return False
     return cpu_count >= shards
 
 

@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=7)
     p_run.add_argument(
         "--shards", type=int, default=1,
-        help="key shards for the parallel continuous runtime "
+        help="above 1, run through the query runtime and pre-solve each "
+        "round's predicted solves in one in-process sweep "
         "(1 = direct serial push)")
     p_run.add_argument("--show", type=int, default=3,
                        help="results to print per path")
@@ -418,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backpressure", choices=("block", "shed-oldest", "shed-newest"),
         default="block")
     p_serve.add_argument("--queue-capacity", type=int, default=None)
-    p_serve.add_argument("--shards", type=int, default=1)
+    p_serve.add_argument(
+        "--shards", type=int, default=1,
+        help="above 1, pre-solve each drain round's predicted solves in "
+        "one in-process sweep before processing it (outputs unchanged)")
     p_serve.add_argument("--slow-solve-ms", type=float, default=None,
                          metavar="MS")
     p_serve.add_argument("--trace-out", default=None, metavar="PATH")

@@ -120,35 +120,6 @@ def fault_hook() -> FaultHook | None:
 
 
 # ----------------------------------------------------------------------
-# roots dispatch hook (sharded runtime integration point)
-# ----------------------------------------------------------------------
-#: Signature-compatible replacement for :func:`real_roots_batch`.  The
-#: sharded runtime installs a dispatcher here that serves root lists
-#: from the parent-side :class:`~repro.core.solve_cache.RootCache`
-#: (filled by priming sweeps through shard workers) and falls back to
-#: the in-process kernel for anything unprimed.  ``None`` means the
-#: serial path: every root is computed inline.
-RootsDispatch = Callable[
-    [Sequence[tuple[Polynomial, float, float]], "dict[int, SolverError] | None"],
-    list[list[float]],
-]
-
-_ROOTS_DISPATCH: RootsDispatch | None = None
-
-
-def set_roots_dispatch(dispatch: RootsDispatch | None) -> RootsDispatch | None:
-    """Install (or clear) the roots dispatcher; returns the previous one."""
-    global _ROOTS_DISPATCH
-    previous = _ROOTS_DISPATCH
-    _ROOTS_DISPATCH = dispatch
-    return previous
-
-
-def roots_dispatch() -> RootsDispatch | None:
-    return _ROOTS_DISPATCH
-
-
-# ----------------------------------------------------------------------
 # instrumentation hooks (observability integration points)
 # ----------------------------------------------------------------------
 #: Hooks installed by :func:`repro.engine.tracing.enable_observability`.
@@ -318,29 +289,6 @@ def _stacked_companion_eigvals_impl(rows: list[list[float]]) -> np.ndarray:
     return np.linalg.eigvals(matrices)
 
 
-def task_root_query(
-    task: SolveTask,
-) -> tuple[tuple[float, ...], float, float] | None:
-    """The root-finder row a solve task would issue, or ``None``.
-
-    Mirrors :func:`solve_relation_batch`'s classification: only
-    non-zero, non-constant rows with in-guardrail coefficients and
-    in-budget degree reach the root finder, and only over a non-empty
-    domain.  Used by the sharded runtime to derive shippable root rows
-    from predicted solve tasks.
-    """
-    poly, _, lo, hi = task
-    if lo >= hi or poly.is_zero or poly.is_constant:
-        return None
-    if poly.degree > SOLVER_CONFIG.max_roots_per_row:
-        return None
-    try:
-        check_coefficients(poly.coeffs)
-    except SolverError:
-        return None
-    return (poly.coeffs, lo, hi)
-
-
 def real_roots_batch(
     items: Sequence[tuple[Polynomial, float, float]],
     failures: dict[int, SolverError] | None = None,
@@ -378,14 +326,12 @@ def real_roots_rows(
     ``rows`` holds ``(coeffs, lo, hi)`` with *trimmed ascending*
     coefficient tuples (exactly :attr:`Polynomial.coeffs` semantics: no
     exactly-zero leading entries, the zero polynomial is ``(0.0,)``).
-    Operating on raw tuples keeps the function worker-safe — shard
-    workers rebuild rows from a shipped float64 matrix and call this
-    directly, so parent and worker share one arithmetic path and their
-    outputs are bit-identical by construction.  The result of each row
-    is also *partition-invariant*: degree bucketing stacks independent
+    The scalar :func:`~repro.core.roots.real_roots` hands cubics and
+    quartics here as one-row batches.  The result of each row is
+    *partition-invariant*: degree bucketing stacks independent
     companion matrices (the eigensolver gufunc loops per matrix) and the
-    Newton polish is element-wise, so splitting a batch across shards
-    cannot change any row's roots.
+    Newton polish is element-wise, so solving a row inside a primed
+    round's sweep or alone in its arrival's batch gives the same roots.
     """
     hook = _SPAN_ROOTS
     if hook is None:
@@ -565,188 +511,6 @@ def _real_roots_rows_impl(
 
 
 # ----------------------------------------------------------------------
-# worker entry point (sharded runtime)
-# ----------------------------------------------------------------------
-def solve_rows_worker(payload: dict) -> dict:
-    """Pure, picklable shard-worker entry point: payload in, payload out.
-
-    The parallel dispatcher ships one of these per shard per round.  The
-    input payload carries rows as contiguous float64 ndarrays (no
-    Python-object pickling on the hot path):
-
-    ``coeffs``
-        ``(n, width)`` float64 matrix, row ``i`` holding the trimmed
-        ascending coefficients in ``coeffs[i, :lengths[i]]`` (zero pad
-        beyond — exactly :attr:`Polynomial.coeffs` once sliced).
-    ``lengths``
-        ``(n,)`` int64 coefficient counts.
-    ``lo`` / ``hi``
-        ``(n,)`` float64 domain bounds per row.
-    ``root_budget``
-        Optional per-row degree budget (defaults to the worker's own
-        :data:`SOLVER_CONFIG`; the parent always passes its value so
-        config drift between processes cannot change behaviour).
-    ``cache``
-        Optional bool (default ``True``): consult/fill this process's
-        :func:`~repro.core.solve_cache.worker_root_cache`.
-    ``shard``
-        Opaque shard id, echoed back for merge bookkeeping.
-    ``observe``
-        Optional bool (default ``False``): time this call's kernel work
-        and ship the timings home as mergeable histogram dicts under
-        ``"timings"`` (``solve_seconds`` for the whole
-        :func:`real_roots_rows` sweep, ``eigensolve_seconds`` per
-        stacked eigensolve) — the same fixed buckets the parent uses,
-        so the dispatcher merges them straight into its histograms.
-
-    The result payload holds ``roots`` (flat float64 of all rows' roots,
-    row ``i`` occupying ``roots[offsets[i]:offsets[i + 1]]``),
-    ``offsets`` (``(n + 1,)`` int64), ``failures`` (list of
-    ``(row_index, reason, detail)`` for typed per-row failures — never
-    raised, never cached) and ``cache_stats`` (this call's hit/miss
-    /eviction *delta* as a dict, mergeable across calls and workers via
-    :meth:`~repro.core.solve_cache.CacheStats.merge`).
-
-    The function touches no global registry and no runtime state beyond
-    the per-process root cache, so it is safe to run in forked pool
-    workers and, with ``cache=False``, is fully deterministic from its
-    arguments alone.
-    """
-    coeffs = np.ascontiguousarray(payload["coeffs"], dtype=float)
-    lengths = np.asarray(payload["lengths"], dtype=np.int64)
-    lo = np.asarray(payload["lo"], dtype=float)
-    hi = np.asarray(payload["hi"], dtype=float)
-    budget = int(payload.get("root_budget") or SOLVER_CONFIG.max_roots_per_row)
-    use_cache = bool(payload.get("cache", True))
-    shard = int(payload.get("shard", 0))
-    observe = bool(payload.get("observe", False))
-
-    flat, offsets, failures, stats, timings = solve_rows_arrays(
-        coeffs, lengths, lo, hi,
-        budget=budget, use_cache=use_cache, observe=observe,
-    )
-    result = {
-        "shard": shard,
-        "roots": flat,
-        "offsets": offsets,
-        "failures": failures,
-        "cache_stats": stats,
-    }
-    if timings is not None:
-        result["timings"] = timings
-    return result
-
-
-def solve_rows_arrays(
-    coeffs: np.ndarray,
-    lengths: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    budget: int | None = None,
-    use_cache: bool = True,
-    observe: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list, dict, dict | None]:
-    """The array-in/array-out core shared by both worker transports.
-
-    ``solve_rows_worker`` (pickled-ndarray payloads) and the
-    shared-memory transport (:mod:`repro.engine.shm_transport`, arrays
-    attached zero-copy from a request segment) both funnel here, so
-    the transport cannot change arithmetic: rows in, one
-    :func:`real_roots_rows` sweep over the cache misses, flat roots
-    out.  Returns ``(flat_roots, offsets, failures, cache_stats_dict,
-    timings_dict_or_None)`` with the exact semantics documented on
-    :func:`solve_rows_worker`.
-    """
-    from .solve_cache import CacheStats, RootCache, worker_root_cache
-
-    if budget is None:
-        budget = SOLVER_CONFIG.max_roots_per_row
-    cache = worker_root_cache() if use_cache else None
-    base = cache.snapshot() if cache is not None else None
-
-    n = int(lengths.shape[0])
-    roots_out: list[Sequence[float]] = [()] * n
-    failures: list[tuple[int, str, str]] = []
-    pending_rows: list[tuple[tuple[float, ...], float, float]] = []
-    pending_idx: list[int] = []
-    pending_keys: list[object] = []
-    for i in range(n):
-        row = tuple(float(c) for c in coeffs[i, : int(lengths[i])])
-        a, b = float(lo[i]), float(hi[i])
-        if cache is not None:
-            key = RootCache.key(row, a, b)
-            hit = cache.get(key)
-            if hit is not None:
-                roots_out[i] = hit
-                continue
-            pending_keys.append(key)
-        pending_rows.append((row, a, b))
-        pending_idx.append(i)
-
-    timings: dict | None = None
-    if pending_rows:
-        row_failures: dict[int, SolverError] = {}
-        if not observe:
-            solved = real_roots_rows(
-                pending_rows, failures=row_failures, budget=budget
-            )
-        else:
-            # Time the kernel sweep in-worker and ship the histograms
-            # home; same buckets as the parent, so they merge directly.
-            from ..engine.metrics import Histogram
-
-            solve_hist = Histogram("worker.solve_seconds")
-            eigen_hist = Histogram("worker.eigensolve_seconds")
-            global _EIGEN_OBSERVER
-            prev_observer = _EIGEN_OBSERVER
-            _EIGEN_OBSERVER = lambda n, seconds: eigen_hist.observe(seconds)
-            t0 = time.perf_counter()
-            try:
-                solved = real_roots_rows(
-                    pending_rows, failures=row_failures, budget=budget
-                )
-            finally:
-                solve_hist.observe(time.perf_counter() - t0)
-                _EIGEN_OBSERVER = prev_observer
-            timings = {
-                "solve_seconds": solve_hist.as_dict(),
-                "eigensolve_seconds": eigen_hist.as_dict(),
-            }
-        for slot, i in enumerate(pending_idx):
-            exc = row_failures.get(slot)
-            if exc is not None:
-                reason = getattr(exc, "reason", "internal")
-                detail = getattr(exc, "detail", None)
-                failures.append((i, str(reason), str(detail or exc)))
-                continue
-            roots_out[i] = solved[slot]
-            if cache is not None:
-                cache.put(pending_keys[slot], solved[slot])
-
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        offsets[i + 1] = offsets[i] + len(roots_out[i])
-    flat = np.fromiter(
-        (r for roots in roots_out for r in roots),
-        dtype=float,
-        count=int(offsets[-1]),
-    )
-
-    if cache is not None:
-        snap = cache.snapshot()
-        stats = CacheStats(
-            hits=snap.hits - base.hits,
-            misses=snap.misses - base.misses,
-            evictions=snap.evictions - base.evictions,
-            entries=snap.entries,
-        )
-    else:
-        stats = CacheStats()
-    return flat, offsets, failures, stats.as_dict(), timings
-
-
-# ----------------------------------------------------------------------
 # batched relation solving
 # ----------------------------------------------------------------------
 def solve_relation_batch(
@@ -796,8 +560,7 @@ def solve_relation_batch(
     slot_failures: dict[int, SolverError] | None = (
         None if failures is None else {}
     )
-    roots_fn = _ROOTS_DISPATCH if _ROOTS_DISPATCH is not None else real_roots_batch
-    roots_per = roots_fn(
+    roots_per = real_roots_batch(
         [(tasks[i][0], tasks[i][2], tasks[i][3]) for i in pending],
         slot_failures,
     )

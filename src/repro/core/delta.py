@@ -16,8 +16,8 @@ operator owns:
   content) is simply unreachable: invalidation is by construction, not
   by scanning.  One :meth:`SolutionStore.lookup` per probe answers both
   "is this content compiled?" and "is this domain already solved?"; the
-  sharded runtime's priming pass and the processing pass meet at the
-  same entry, so a probed system compiles once.
+  round-priming pass and the processing pass meet at the same entry, so
+  a probed system compiles once.
 
 Bit-exactness.  A served solution must equal what a direct solve would
 return.  An exact-domain hit is trivially exact (same deterministic

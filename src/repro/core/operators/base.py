@@ -83,10 +83,9 @@ class ContinuousOperator:
         """Predict the solve tasks ``process(segment, port)`` would issue.
 
         Each entry is a full cache-funnel task ``(poly, rel, lo, hi)``
-        (see :func:`~repro.core.batch_solver.solve_tasks`).  The sharded
-        runtime calls this *read-only* pass to batch a whole drain
-        round's solve work — root rows through shard workers, then a
-        single parent-side solve sweep that fills the solve cache —
+        (see :func:`~repro.core.batch_solver.solve_tasks`).  Round
+        priming calls this *read-only* pass to pre-solve a whole drain
+        round's solve work in one sweep that fills the solve cache
         before processing; implementations must not mutate operator
         state (remembering a compiled system in the operator's solution
         store is not state: ``process`` finds it there instead of
@@ -102,22 +101,18 @@ class ContinuousOperator:
 
     def prime_round(
         self, arrivals: Sequence[tuple[int, Segment]]
-    ) -> list[tuple[object, object]]:
+    ) -> list:
         """Predict solve tasks for a whole drain round of arrivals.
 
-        ``arrivals`` holds ``(port, segment)`` in processing order.
-        Returns ``(key, task)`` pairs where ``key`` is the stream key
-        of the arrival that will trigger the solve — the sharded
-        runtime partitions the work by that key.  The default asks
-        :meth:`prime_tasks` per arrival; stateful operators (the join)
-        override this to also predict interactions *between* the
-        round's own arrivals, which per-item prediction cannot see.
+        ``arrivals`` holds ``(port, segment)`` in processing order.  The
+        default asks :meth:`prime_tasks` per arrival; stateful operators
+        (the join) override this to also predict interactions *between*
+        the round's own arrivals, which per-item prediction cannot see.
         Must not mutate operator state.
         """
-        out: list[tuple[object, object]] = []
+        out: list = []
         for port, segment in arrivals:
-            for task in self.prime_tasks(segment, port):
-                out.append((segment.key, task))
+            out.extend(self.prime_tasks(segment, port))
         return out
 
     def reset(self) -> None:
@@ -138,8 +133,8 @@ class SelectiveOperator(ContinuousOperator):
       widest solved domain (see :class:`~repro.core.delta.SolutionStore`).
 
     :meth:`_probe` is the single path through both: at most one lookup
-    in each per probe, shared by ``process``, the sharded runtime's
-    priming pass and slack validation.
+    in each per probe, shared by ``process``, round priming and slack
+    validation.
     """
 
     def __init__(self, predicate: BoolExpr):

@@ -285,7 +285,7 @@ class ContinuousJoin(SelectiveOperator):
         # port -> {key: segment list}, shadowing the real buffer for
         # every key an arrival has touched this round.
         virtual: tuple[dict, dict] = ({}, {})
-        out: list[tuple[object, object]] = []
+        out: list = []
         for port, segment in arrivals:
             if port not in (0, 1):
                 continue
@@ -305,8 +305,7 @@ class ContinuousJoin(SelectiveOperator):
                     for v in shadowed
                     if v.t_start < segment.t_end and segment.t_start < v.t_end
                 )
-            for query in self._pair_queries(segment, port, partners):
-                out.append((segment.key, query))
+            out.extend(self._pair_queries(segment, port, partners))
         return out
 
     def _pair_queries(

@@ -153,35 +153,19 @@ class ContinuousPlan:
     def operators(self) -> list[ContinuousOperator]:
         return [n.operator for n in self._nodes.values() if n.operator]
 
-    def prime_tasks(
-        self, source: str, segment: Segment
-    ) -> list[tuple[tuple[float, ...], float, float]]:
-        """Root queries the first operator hop would issue for ``segment``.
-
-        Only the source's *immediate* successors are asked — deeper
-        operators consume upstream outputs that priming cannot know
-        without actually processing, and a partial prediction is safe
-        (see :meth:`ContinuousOperator.prime_tasks`).  Read-only.
-        """
-        src_id = self._sources.get(source)
-        if src_id is None:
-            return []
-        queries: list[tuple[tuple[float, ...], float, float]] = []
-        for succ_id, port in self._nodes[src_id].successors:
-            operator = self._nodes[succ_id].operator
-            if operator is not None:
-                queries.extend(operator.prime_tasks(segment, port))
-        return queries
-
     def prime_round(
         self, arrivals: list[tuple[str, Segment]]
-    ) -> list[tuple[object, tuple[tuple[float, ...], float, float]]]:
-        """Round-level :meth:`prime_tasks`: ``(source, segment)`` arrivals
-        in processing order, answered as ``(key, query)`` pairs.
+    ) -> list:
+        """Solve tasks the first operator hop would issue for
+        ``(source, segment)`` arrivals, given in processing order.
 
-        Arrivals are grouped per first-hop operator (preserving order)
-        so stateful operators can predict round-internal interactions —
-        see :meth:`ContinuousOperator.prime_round`.  Read-only.
+        Only the sources' *immediate* successors are asked — deeper
+        operators consume upstream outputs that priming cannot know
+        without actually processing, and a partial prediction is safe
+        (see :meth:`ContinuousOperator.prime_tasks`).  Arrivals are
+        grouped per first-hop operator (preserving order) so stateful
+        operators can predict round-internal interactions — see
+        :meth:`ContinuousOperator.prime_round`.  Read-only.
         """
         per_node: dict[int, list[tuple[int, Segment]]] = {}
         for source, segment in arrivals:
@@ -191,14 +175,12 @@ class ContinuousPlan:
             for succ_id, port in self._nodes[src_id].successors:
                 if self._nodes[succ_id].operator is not None:
                     per_node.setdefault(succ_id, []).append((port, segment))
-        queries: list[
-            tuple[object, tuple[tuple[float, ...], float, float]]
-        ] = []
+        tasks: list = []
         for succ_id, node_arrivals in per_node.items():
-            queries.extend(
+            tasks.extend(
                 self._nodes[succ_id].operator.prime_round(node_arrivals)
             )
-        return queries
+        return tasks
 
     # ------------------------------------------------------------------
     # execution

@@ -73,28 +73,10 @@ class TransformedQuery:
             outputs.extend(self.plan.push(source, segment))
         return outputs
 
-    def prime_tasks(
-        self, stream: str, segment: Segment
-    ) -> list[tuple[tuple[float, ...], float, float]]:
-        """Predicted root queries for pushing ``segment`` to ``stream``.
-
-        Fans to every scan of the stream like :meth:`push`, but asks the
-        plan's read-only :meth:`~repro.core.plan.ContinuousPlan.prime_tasks`
-        instead of processing.  Unknown streams predict nothing (the
-        push itself will raise).
-        """
-        sources = self.stream_sources.get(stream)
-        if not sources:
-            return []
-        queries: list[tuple[tuple[float, ...], float, float]] = []
-        for source in sources:
-            queries.extend(self.plan.prime_tasks(source, segment))
-        return queries
-
     def prime_round(
         self, items: list[tuple[str, Segment]]
-    ) -> list[tuple[object, tuple[tuple[float, ...], float, float]]]:
-        """Round-level prediction over ``(stream, segment)`` items.
+    ) -> list:
+        """Predicted solve tasks for pushing ``(stream, segment)`` items.
 
         Expands the stream fan-out exactly like a sequence of
         :meth:`push` calls would (item by item, each to every scan of

@@ -454,24 +454,6 @@ class MetricsSnapshot:
             p.write_text(self.to_json() + "\n")
 
 
-def absorb_cache_stats(prefix: str, stats) -> None:
-    """Fold a mergeable cache snapshot into the global registry.
-
-    ``stats`` is a :class:`~repro.core.solve_cache.CacheStats` (or any
-    object with ``hits`` / ``misses`` / ``evictions`` ints) — typically
-    a per-worker *delta* shipped back with a shard result payload.
-    Counts accumulate under ``{prefix}.hits`` / ``.misses`` /
-    ``.evictions``; ``entries`` is a level, not an event count, so it is
-    reported as the ``{prefix}.entries`` gauge instead.
-    """
-    get_counter(f"{prefix}.hits").bump(int(stats.hits))
-    get_counter(f"{prefix}.misses").bump(int(stats.misses))
-    get_counter(f"{prefix}.evictions").bump(int(stats.evictions))
-    entries = getattr(stats, "entries", None)
-    if entries is not None:
-        get_gauge(f"{prefix}.entries").set(float(entries))
-
-
 class Stopwatch:
     """Minimal wall-clock stopwatch built on the monotonic clock."""
 

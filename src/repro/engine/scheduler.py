@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.batch_solver import solve_tasks, task_root_query
+from ..core.batch_solver import solve_tasks
 from ..core.errors import PlanError, PulseError
 
 #: What the per-item fault boundary contains: library failures plus the
@@ -51,7 +51,6 @@ from . import tracing
 from .durability import Durability, RecoveryReport
 from .lowering import LoweredQuery
 from .metrics import get_counter, get_histogram
-from .parallel import ParallelSolveDispatcher
 from .resilience import BreakerConfig, CircuitBreaker, SlowSolveWatchdog
 from .tuples import StreamTuple
 
@@ -129,20 +128,13 @@ class QueryRuntime:
         gating the continuous path per (query, key).  ``None`` disables
         quarantine; step failures still degrade to the fallback.
     num_shards:
-        Key-partition width for the parallel solve path.  ``1`` (the
-        default) is the untouched serial runtime.  Above 1, each drain
-        round is *primed*: predicted root work is hash-partitioned by
-        key and shipped to per-shard workers in ndarray batches before
-        items are processed — processing itself still runs serially in
-        arrival order, so outputs are bit-identical to ``num_shards=1``.
-        The breaker and shed policies are per-key and therefore
-        per-shard-local automatically.
-    parallel:
-        With ``num_shards > 1``: ``True`` backs each shard with its own
-        single-worker process pool; ``False`` runs the same sharded
-        path inline in this process (debugging); ``"auto"`` (default)
-        uses pools only on multi-core hosts — a single core still gets
-        the batched-sweep amortization without paying process IPC.
+        ``1`` (the default) processes each drain round arrival by
+        arrival.  Above 1, each round of a continuous query is first
+        *primed*: its predicted solve tasks are pre-solved in one
+        in-process :func:`~repro.core.batch_solver.solve_tasks` sweep
+        that fills the solve cache, then the items are processed
+        unchanged in arrival order, so outputs are bit-identical to
+        ``num_shards=1``.  Any value above 1 behaves the same.
     slow_solve_budget_s:
         Latency budget per processed arrival.  When set, every item is
         timed and exceedances are flagged through the
@@ -167,7 +159,6 @@ class QueryRuntime:
         backpressure: str = "block",
         breaker: CircuitBreaker | BreakerConfig | None = None,
         num_shards: int = 1,
-        parallel: "bool | str" = "auto",
         slow_solve_budget_s: float | None = None,
         durability: Durability | None = None,
     ):
@@ -187,12 +178,9 @@ class QueryRuntime:
             breaker = CircuitBreaker(breaker)
         self.breaker = breaker
         self.num_shards = num_shards
-        self.parallel = parallel
-        self._dispatcher: ParallelSolveDispatcher | None = None
-        if num_shards > 1:
-            self._dispatcher = ParallelSolveDispatcher(
-                num_shards, parallel=parallel
-            )
+        #: Rounds primed and solve tasks they predicted (``num_shards > 1``).
+        self.rounds_primed = 0
+        self.tasks_primed = 0
         self._durability = durability
         #: Sequence number of the most recent WAL-logged arrival; the
         #: durable resume point exposed to clients after recovery.
@@ -400,7 +388,7 @@ class QueryRuntime:
         # Drain-then-process: the round's items are collected first (in
         # exactly the order the serial loop would have popped them —
         # processing never enqueues, so the split changes nothing), which
-        # gives the sharded path one look at the whole round for priming.
+        # gives priming one look at the whole round.
         drained: list[tuple[str, Segment | StreamTuple]] = []
         while len(drained) < self.batch_size and reg.pending:
             for stream, queue in reg.queues.items():
@@ -411,8 +399,7 @@ class QueryRuntime:
                 self._total_pending -= 1
                 if len(drained) >= self.batch_size:
                     break
-        dispatcher = self._dispatcher
-        use_dispatch = dispatcher is not None and isinstance(
+        prime = self.num_shards > 1 and isinstance(
             reg.query, TransformedQuery
         )
         observing = tracing.observability_enabled()
@@ -420,27 +407,19 @@ class QueryRuntime:
         if not observing and watchdog is None:
             # The untouched fast path: zero instrumentation calls, zero
             # clock reads (pinned by ``tests/engine/test_tracing.py``).
-            if use_dispatch:
+            if prime:
                 self._prime_round(reg, drained)
-                dispatcher.activate()
-            try:
-                for stream, item in drained:
-                    self._process_item(reg, stream, item)
-                    reg.items_processed += 1
-            finally:
-                if use_dispatch:
-                    dispatcher.deactivate()
+            for stream, item in drained:
+                self._process_item(reg, stream, item)
+                reg.items_processed += 1
             return len(drained)
-        return self._step_observed(
-            reg, drained, dispatcher if use_dispatch else None,
-            observing, watchdog,
-        )
+        return self._step_observed(reg, drained, prime, observing, watchdog)
 
     def _step_observed(
         self,
         reg: _Registration,
         drained: list,
-        dispatcher: ParallelSolveDispatcher | None,
+        prime: bool,
         observing: bool,
         watchdog: SlowSolveWatchdog | None,
     ) -> int:
@@ -460,7 +439,7 @@ class QueryRuntime:
         )
         t_round = time.perf_counter()
         try:
-            if dispatcher is not None:
+            if prime:
                 prime_span = (
                     tracer.start("prime", "prime", query=reg.name)
                     if tracer is not None
@@ -476,16 +455,11 @@ class QueryRuntime:
                         )
                     if prime_span is not None:
                         tracer.finish(prime_span)
-                dispatcher.activate()
-            try:
-                for stream, item in drained:
-                    self._process_item_observed(
-                        reg, stream, item, tracer, observing, watchdog
-                    )
-                    reg.items_processed += 1
-            finally:
-                if dispatcher is not None:
-                    dispatcher.deactivate()
+            for stream, item in drained:
+                self._process_item_observed(
+                    reg, stream, item, tracer, observing, watchdog
+                )
+                reg.items_processed += 1
         finally:
             if observing:
                 self._round_hist.observe(time.perf_counter() - t_round)
@@ -538,21 +512,21 @@ class QueryRuntime:
         reg: _Registration,
         drained: list[tuple[str, Segment | StreamTuple]],
     ) -> None:
-        """Batch the round's predicted solve work before processing.
+        """Pre-solve the round's predicted tasks in one sweep.
 
-        Two layers: root rows ship to the shard workers (stacked
-        eigensolves), then the full predicted task list pre-solves
-        through the cache funnel in one sweep so per-arrival processing
-        hits the solve cache.
+        The plan predicts, read-only, the solve tasks the round's items
+        will issue; one :func:`~repro.core.batch_solver.solve_tasks`
+        call then solves them together (one kernel sweep over the cache
+        misses) and fills the solve cache, so per-arrival processing
+        hits it instead of paying the kernel machinery per arrival.
 
-        Best-effort and read-only: keys the breaker would refuse are
-        skipped (via the non-mutating :meth:`CircuitBreaker.peek`, so
-        quarantine ticks are not consumed), and a priming error for one
-        item only skips that item's prediction — the item itself still
-        processes (and fails, if it must) through the normal path.
+        Best-effort: keys the breaker would refuse are skipped (via the
+        non-mutating :meth:`CircuitBreaker.peek`, so quarantine ticks
+        are not consumed), and a prediction error skips priming.
+        Failures are recorded, never raised and never cached, so a
+        poisoned task still fails inside ``process`` exactly as the
+        unprimed path would.
         """
-        dispatcher = self._dispatcher
-        assert dispatcher is not None
         items: list[tuple[str, Segment]] = []
         for stream, item in drained:
             if not isinstance(item, Segment):
@@ -565,34 +539,13 @@ class QueryRuntime:
         if not items:
             return
         try:
-            keyed_tasks = reg.query.prime_round(items)
+            tasks = reg.query.prime_round(items)
+            if tasks:
+                solve_tasks(tasks, failures={})
         except _ITEM_FAULTS:
             return
-        by_shard: dict[int, list] = {}
-        prefill: list = []
-        for key, task in keyed_tasks:
-            prefill.append(task)
-            row = task_root_query(task)
-            if row is not None:
-                by_shard.setdefault(dispatcher.shard_for_key(key), []).append(
-                    row
-                )
-        if by_shard:
-            dispatcher.prime(by_shard)
-        if prefill:
-            # Pre-solve the round's predicted tasks as ONE cache-funnel
-            # sweep with the primed roots dispatched: process-side
-            # solves then hit the solve cache instead of paying the
-            # per-arrival kernel machinery.  Failures are recorded (not
-            # raised) and never cached, so a poisoned task still fails
-            # inside ``process`` exactly as the serial path would.
-            dispatcher.activate()
-            try:
-                solve_tasks(prefill, failures={})
-            except _ITEM_FAULTS:
-                pass
-            finally:
-                dispatcher.deactivate()
+        self.rounds_primed += 1
+        self.tasks_primed += len(tasks)
 
     def _process_item(
         self, reg: _Registration, stream: str, item: Segment | StreamTuple
@@ -834,10 +787,7 @@ class QueryRuntime:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down the shard workers and durability appender."""
-        if self._dispatcher is not None:
-            self._dispatcher.shutdown()
-            self._dispatcher = None
+        """Close the durability appender."""
         if self._durability is not None:
             self._durability.close()
 
@@ -894,7 +844,11 @@ class QueryRuntime:
         return stats
 
     def parallel_stats(self) -> Mapping[str, object] | None:
-        """Shard dispatch/priming stats; ``None`` for the serial runtime."""
-        if self._dispatcher is None:
+        """Round-priming counts; ``None`` when ``num_shards`` is 1."""
+        if self.num_shards == 1:
             return None
-        return self._dispatcher.stats()
+        return {
+            "num_shards": self.num_shards,
+            "rounds_primed": self.rounds_primed,
+            "tasks_primed": self.tasks_primed,
+        }

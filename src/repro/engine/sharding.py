@@ -1,31 +1,24 @@
-"""Stable key-to-shard assignment and per-shard pending queues.
+"""Stable key-to-shard assignment for the router fleet.
 
 Pulse's per-key independence (PAPER.md Sections II-B/III-A: every
 selective operator solves one ``(query, key)`` equation system at a
 time) makes the workload embarrassingly parallel across keys — the same
-property DBSP exploits by giving each shard a disjoint key range.  This
-module provides the partitioning half of the sharded runtime:
-
-* :func:`shard_of` / :class:`ShardRouter` — a *stable* hash assignment
-  of keys to ``N`` shards.  Python's built-in ``hash`` for strings is
-  salted per process (``PYTHONHASHSEED``), which would scatter the same
-  key to different shards in parent and worker processes; keys are
-  instead canonically byte-encoded and hashed with BLAKE2b, so the
-  assignment is identical across processes, runs and machines.
-* :class:`ShardQueues` — per-shard pending queues with a global arrival
-  sequence, so batches drained shard by shard can always be merged back
-  into exact arrival order (the determinism contract of the parallel
-  dispatcher).
+property DBSP exploits by giving each shard a disjoint key range.
+:mod:`repro.server.router` partitions arrivals over its workers with
+:func:`shard_of`, a *stable* hash assignment of keys to ``N`` shards.
+Python's built-in ``hash`` for strings is salted per process
+(``PYTHONHASHSEED``), which would scatter the same key differently in
+different processes; keys are instead canonically byte-encoded and
+hashed with BLAKE2b, so the assignment is identical across processes,
+runs and machines.  :class:`KeyOrdinals` lets the router's merge edge
+restore a single engine's key order.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from hashlib import blake2b
-from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Hashable, Sequence
 
 
 def canonical_key_bytes(key: Hashable) -> bytes:
@@ -89,40 +82,6 @@ def shard_of(key: Hashable, num_shards: int) -> int:
     return stable_key_hash(key) % num_shards
 
 
-class ShardRouter:
-    """An ``N``-way stable key partitioner with a small assignment cache.
-
-    The assignment is pure (:func:`shard_of`), but runtimes route the
-    same handful of keys millions of times; memoizing the BLAKE2b digest
-    per key keeps routing off the hot path.
-    """
-
-    __slots__ = ("num_shards", "_assignments")
-
-    def __init__(self, num_shards: int):
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        self.num_shards = num_shards
-        self._assignments: dict[Hashable, int] = {}
-
-    def shard_of(self, key: Hashable) -> int:
-        shard = self._assignments.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._assignments[key] = shard
-        return shard
-
-    def partition(
-        self, items: Iterable[T], key_of
-    ) -> list[list[T]]:
-        """Split ``items`` into per-shard lists, preserving arrival order
-        within each shard."""
-        shards: list[list[T]] = [[] for _ in range(self.num_shards)]
-        for item in items:
-            shards[self.shard_of(key_of(item))].append(item)
-        return shards
-
-
 class KeyOrdinals:
     """First-arrival ordinals for stream keys.
 
@@ -153,56 +112,3 @@ class KeyOrdinals:
 
     def __len__(self) -> int:
         return len(self._ordinals)
-
-
-class ShardQueues:
-    """Per-shard FIFO queues stamped with a global arrival sequence.
-
-    ``push`` routes an item to its key's shard; :meth:`drain_shard`
-    empties one shard's queue; :meth:`drain_in_order` empties everything
-    in global arrival order (the sequence numbers make the shard-merged
-    stream reproduce exactly what a single queue would have held).
-    """
-
-    def __init__(self, num_shards: int, router: ShardRouter | None = None):
-        if router is not None and router.num_shards != num_shards:
-            raise ValueError("router shard count mismatch")
-        self.router = router or ShardRouter(num_shards)
-        self.num_shards = num_shards
-        self._queues: list[deque] = [deque() for _ in range(num_shards)]
-        self._seq = 0
-
-    def push(self, key: Hashable, item: T) -> int:
-        """Queue ``item`` under ``key``'s shard; returns the shard index."""
-        shard = self.router.shard_of(key)
-        self._queues[shard].append((self._seq, key, item))
-        self._seq += 1
-        return shard
-
-    def drain_shard(self, shard: int) -> list[tuple[int, Hashable, T]]:
-        """Empty one shard's queue as ``(seq, key, item)`` in FIFO order."""
-        queue = self._queues[shard]
-        out = list(queue)
-        queue.clear()
-        return out
-
-    def drain_in_order(self) -> list[tuple[int, Hashable, T]]:
-        """Empty every queue, merged back into global arrival order."""
-        out: list[tuple[int, Hashable, T]] = []
-        for shard in range(self.num_shards):
-            out.extend(self.drain_shard(shard))
-        out.sort(key=lambda entry: entry[0])
-        return out
-
-    def depth(self, shard: int) -> int:
-        return len(self._queues[shard])
-
-    def depths(self) -> Sequence[int]:
-        return [len(q) for q in self._queues]
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def __iter__(self) -> Iterator[tuple[int, Hashable, T]]:
-        for shard in range(self.num_shards):
-            yield from self._queues[shard]

@@ -146,7 +146,7 @@ class Tracer:
 
     The stack makes parent ids implicit at the call sites: a span
     started while another is open becomes its child.  The engine is
-    single-threaded per process (shard workers never trace), so a plain
+    single-threaded per process, so a plain
     list suffices — no contextvars on the hot path.
 
     ``sink`` may be a filesystem path (opened/owned by the tracer), an
@@ -424,8 +424,8 @@ def ancestors(span: Span, spans: Iterable[Span]) -> list[Span]:
 # ----------------------------------------------------------------------
 # the observability switch
 # ----------------------------------------------------------------------
-#: Module-level state read by the engine-side guards (scheduler,
-#: parallel dispatcher).  ``_ENABLED`` and ``_TRACER`` are separate so
+#: Module-level state read by the engine-side guards (the
+#: scheduler).  ``_ENABLED`` and ``_TRACER`` are separate so
 #: histograms can run without a trace sink.
 _ENABLED = False
 _TRACER: Tracer | None = None
@@ -574,8 +574,8 @@ def enable_observability(trace_sink=None) -> Tracer | None:
     :class:`Tracer`; ``None`` records histograms only.  Installs the
     guarded hooks into :mod:`repro.core.batch_solver`,
     :mod:`repro.core.equation_system`, :mod:`repro.core.plan` and
-    :mod:`repro.core.solve_cache`; the engine-side sites (scheduler,
-    parallel dispatcher) read this module's state directly.
+    :mod:`repro.core.solve_cache`; the engine-side site (the
+    scheduler) reads this module's state directly.
 
     Returns the tracer (or ``None``).  Enabling twice tears down the
     previous state first, so the hooks never stack.

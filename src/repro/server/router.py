@@ -7,9 +7,9 @@ merge edge.
 previously independent subsystems into a distributed runtime:
 
 * **Shard routing** (PR 3): every ingested tuple is assigned a worker
-  by :func:`~repro.engine.sharding.shard_of` on its routing key — the
-  same BLAKE2b assignment the in-process parallel runtime uses, so the
-  placement is stable across processes, restarts and machines.
+  by :func:`~repro.engine.sharding.shard_of` on its routing key — a
+  BLAKE2b assignment, so the placement is stable across processes,
+  restarts and machines.
   Routing keys come from registered fit specs (``key_fields``), which
   is exactly the granularity at which Pulse's equation systems are
   independent: a worker that owns a key owns *all* of that key's

@@ -1,44 +1,29 @@
-"""The key-sharded parallel runtime: partitioning, dispatch, parity.
+"""Key-sharded round priming: partitioning, priming, parity.
 
 The determinism contract under test: for any trace, any shard count and
-any fault pattern, the sharded runtime produces *bit-identical* outputs
-and identical semantic counters to the serial runtime.  Sharding and
-priming may only move work (to shard workers, or earlier into the
-prefill sweep) — never change it.
+any fault pattern, the primed runtime produces *bit-identical* outputs
+and identical semantic counters to the unprimed one.  Priming may only
+move work earlier, into one prefill sweep per round — never change it.
 """
 
-import math
 import random
 
 import pytest
 
 from repro.core import batch_solver
-from repro.core.batch_solver import (
-    SOLVER_CONFIG,
-    real_roots_batch,
-    set_roots_dispatch,
-    task_root_query,
-)
 from repro.core.equation_system import EquationSystem
 from repro.core.expr import Attr, Const
 from repro.core.polynomial import Polynomial
 from repro.core.predicate import And, Comparison
 from repro.core.relation import Rel
 from repro.core.segment import Segment
-from repro.core.solve_cache import (
-    RootCache,
-    SolveCache,
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import SolveCache, reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
-from repro.engine.parallel import InlineExecutor, ParallelSolveDispatcher
+from repro.engine import scheduler
 from repro.engine.resilience import BreakerConfig
-from repro.engine.metrics import counter_snapshot, reset_counters
+from repro.engine.metrics import counter_snapshot, get_counter, reset_counters
 from repro.engine.scheduler import QueryRuntime
 from repro.engine.sharding import (
-    ShardQueues,
-    ShardRouter,
     canonical_key_bytes,
     shard_of,
     stable_key_hash,
@@ -82,148 +67,10 @@ class TestSharding:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
             shard_of("k", 0)
-        with pytest.raises(ValueError):
-            ShardRouter(0)
-
-    def test_router_matches_pure_function(self):
-        router = ShardRouter(3)
-        keys = [("k", i) for i in range(32)]
-        for key in keys:
-            assert router.shard_of(key) == shard_of(key, 3)
-        # Second pass hits the memo; assignment must not drift.
-        for key in keys:
-            assert router.shard_of(key) == shard_of(key, 3)
-
-    def test_partition_preserves_order_within_shard(self):
-        router = ShardRouter(2)
-        items = [("k%d" % (i % 5), i) for i in range(20)]
-        shards = router.partition(items, key_of=lambda it: it[0])
-        for shard, bucket in enumerate(shards):
-            assert [router.shard_of(k) for k, _ in bucket] == [shard] * len(
-                bucket
-            )
-            assert [i for _, i in bucket] == sorted(i for _, i in bucket)
-
-    def test_queues_drain_in_global_arrival_order(self):
-        queues = ShardQueues(3)
-        pushed = []
-        for i in range(30):
-            key = ("key", i % 7)
-            queues.push(key, i)
-            pushed.append((key, i))
-        assert len(queues) == 30
-        drained = queues.drain_in_order()
-        assert [(k, item) for _, k, item in drained] == pushed
-        assert len(queues) == 0
-
-    def test_drain_shard_only_empties_that_shard(self):
-        queues = ShardQueues(2)
-        for i in range(10):
-            queues.push(("key", i), i)
-        depth0 = queues.depth(0)
-        out = queues.drain_shard(0)
-        assert len(out) == depth0
-        assert queues.depth(0) == 0
-        assert len(queues) == 10 - depth0
 
 
 # ----------------------------------------------------------------------
-# dispatch machinery
-# ----------------------------------------------------------------------
-class TestInlineExecutor:
-    def test_result_and_error_mirror_pool_futures(self):
-        ex = InlineExecutor()
-        assert ex.submit(lambda a, b: a + b, 2, 3).result() == 5
-        failing = ex.submit(lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            failing.result()
-
-
-class TestParallelSolveDispatcher:
-    def setup_method(self):
-        reset_worker_root_cache()
-
-    def test_primed_roots_match_inline_kernel(self):
-        polys = [
-            Polynomial([-1.0, 0.0, 1.0]),   # roots +-1
-            Polynomial([0.5, -1.0]),        # root 0.5
-            Polynomial([-6.0, 11.0, -6.0, 1.0]),  # roots 1, 2, 3
-        ]
-        items = [(p, -10.0, 10.0) for p in polys]
-        expected = real_roots_batch(items)
-        d = ParallelSolveDispatcher(num_shards=2, parallel=False)
-        try:
-            shipped = d.prime(
-                {0: [(p.coeffs, -10.0, 10.0) for p in polys[:2]],
-                 1: [(polys[2].coeffs, -10.0, 10.0)]}
-            )
-            assert shipped == 3
-            assert d.dispatch_roots(items) == expected
-            # All three were parent-cache hits, zero kernel recomputes.
-            assert d.root_store_stats().hits == 3
-        finally:
-            d.shutdown()
-
-    def test_unprimed_rows_fall_through_and_backfill(self):
-        poly = Polynomial([-4.0, 0.0, 1.0])
-        items = [(poly, -10.0, 10.0)]
-        expected = real_roots_batch(items)
-        d = ParallelSolveDispatcher(num_shards=2, parallel=False)
-        try:
-            assert d.dispatch_roots(items) == expected  # miss -> kernel
-            assert d.dispatch_roots(items) == expected  # now a hit
-            stats = d.root_store_stats()
-            assert (stats.hits, stats.misses) == (1, 1)
-        finally:
-            d.shutdown()
-
-    def test_failures_recorded_and_never_cached(self):
-        poly = Polynomial([math.nan, 1.0])
-        d = ParallelSolveDispatcher(num_shards=1, parallel=False)
-        try:
-            for _ in range(2):  # identical failure on every encounter
-                failures = {}
-                out = d.dispatch_roots([(poly, 0.0, 1.0)], failures)
-                assert out == [[]]
-                assert list(failures) == [0]
-            assert len(d._root_cache) == 0
-        finally:
-            d.shutdown()
-
-    def test_prime_dedupes_repeated_rows(self):
-        row = ((1.0, -2.0), 0.0, 5.0)
-        d = ParallelSolveDispatcher(num_shards=1, parallel=False)
-        try:
-            assert d.prime({0: [row, row, row]}) == 1
-            assert d.prime({0: [row]}) == 0  # already in the parent store
-            assert d.rows_dispatched == 1
-        finally:
-            d.shutdown()
-
-    def test_activate_deactivate_restores_kernel_dispatch(self):
-        assert batch_solver._ROOTS_DISPATCH is None
-        d = ParallelSolveDispatcher(num_shards=1, parallel=False)
-        try:
-            d.activate()
-            assert batch_solver._ROOTS_DISPATCH == d.dispatch_roots
-            d.activate()  # idempotent: must not capture itself
-            d.deactivate()
-            assert batch_solver._ROOTS_DISPATCH is None
-        finally:
-            d.shutdown()
-        assert batch_solver._ROOTS_DISPATCH is None
-
-    def test_shutdown_deactivates_hook(self):
-        d = ParallelSolveDispatcher(num_shards=1, parallel=False)
-        d.activate()
-        d.shutdown()
-        assert batch_solver._ROOTS_DISPATCH is None
-        with pytest.raises(RuntimeError):
-            d.prime({0: [((1.0,), 0.0, 1.0)]})
-
-
-# ----------------------------------------------------------------------
-# prediction: solve tasks and shippable root rows
+# prediction: solve tasks
 # ----------------------------------------------------------------------
 MODELS = {
     "A.x": Polynomial([4.0, 1.0]),
@@ -260,21 +107,6 @@ class TestRowTasksAndRootQueries:
         assert len(system.rows) > 1
         assert system.row_tasks(0.0, 10.0) == []
 
-    def test_task_root_query_classification(self):
-        p = Polynomial([-1.0, 1.0])
-        assert task_root_query((p, Rel.GT, 0.0, 5.0)) == (p.coeffs, 0.0, 5.0)
-        # Degenerate rows never reach the root finder.
-        assert task_root_query((p, Rel.GT, 5.0, 5.0)) is None
-        assert task_root_query((Polynomial([3.0]), Rel.GT, 0.0, 5.0)) is None
-        assert task_root_query((Polynomial([0.0]), Rel.GT, 0.0, 5.0)) is None
-        # Out-of-guardrail coefficients fail in-parent, not in a worker.
-        bad = Polynomial([math.nan, 1.0])
-        assert task_root_query((bad, Rel.GT, 0.0, 5.0)) is None
-        spike = Polynomial([0.0, 1e200])
-        assert task_root_query((spike, Rel.GT, 0.0, 5.0)) is None
-        deep = Polynomial([1.0] * (SOLVER_CONFIG.max_roots_per_row + 2))
-        assert task_root_query((deep, Rel.GT, 0.0, 5.0)) is None
-
 
 # ----------------------------------------------------------------------
 # signed-zero canonicalization in cache keys
@@ -286,25 +118,6 @@ class TestSignedZeroKeys:
         k_neg = cache.key(Polynomial([-0.0, 1.0]), Rel.GT, -0.0, 1.0)
         assert k_pos == k_neg
         assert "-0.0" not in repr(k_neg)
-
-    def test_root_cache_key_canonicalizes_negative_zero(self):
-        k_pos = RootCache.key((0.0, 1.0), 0.0, 1.0)
-        k_neg = RootCache.key((-0.0, 1.0), -0.0, 1.0)
-        assert k_pos == k_neg
-        assert "-0.0" not in repr(k_neg)
-
-    def test_root_cache_key_fast_path_skips_zero_free_rows(self):
-        # The common case (no zero coefficient) must not rewrite, and
-        # the keyed values must round-trip exactly.
-        coeffs = (1.5, -2.25, 3.0)
-        row, lo, hi = RootCache.key(coeffs, -1.0, 1.0)
-        assert row == coeffs and (lo, hi) == (-1.0, 1.0)
-
-    def test_negative_zero_rows_share_one_entry(self):
-        cache = RootCache(maxsize=16)
-        cache.put(RootCache.key((-0.0, 1.0), 0.0, 1.0), (0.5,))
-        assert cache.get(RootCache.key((0.0, 1.0), -0.0, 1.0)) == (0.5,)
-        assert len(cache._entries) == 1
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +191,7 @@ class TestCounterBinding:
 
 
 # ----------------------------------------------------------------------
-# serial vs sharded parity (the determinism contract, property-style)
+# unprimed vs primed parity (the determinism contract, property-style)
 # ----------------------------------------------------------------------
 FILT_SQL = "select * from ticks where x > 1"
 JOIN_SQL = (
@@ -416,19 +229,26 @@ def random_trace(seed, keys=("a", "b", "c"), rows_per_key=6, degree=4):
     return events
 
 
-def drive(num_shards, events, fault_rate=0.0, breaker=None, parallel=False):
-    """Run one trace through a fresh runtime; return comparable state.
+def canonical(segments):
+    """Output segments as comparable values (segment ids left out)."""
+    return [
+        (
+            s.key, s.t_start, s.t_end,
+            sorted(s.constants.items()),
+            # Model coefficients included so aggregate parity compares
+            # computed values, not just window bounds.
+            sorted((a, repr(p)) for a, p in s.models.items()),
+        )
+        for s in segments
+    ]
 
-    Shards run inline unless ``parallel`` says otherwise, so what these
-    cases compare does not depend on the host's core count.
-    """
+
+def drive(num_shards, events, fault_rate=0.0, breaker=None):
+    """Run one trace through a fresh runtime; return comparable state."""
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     kw = {} if breaker is None else {"breaker": breaker}
-    rt = QueryRuntime(
-        num_shards=num_shards, batch_size=32, parallel=parallel, **kw
-    )
+    rt = QueryRuntime(num_shards=num_shards, batch_size=32, **kw)
     try:
         rt.register(
             "filt", to_continuous_plan(plan_query(parse_query(FILT_SQL)))
@@ -456,19 +276,7 @@ def drive(num_shards, events, fault_rate=0.0, breaker=None, parallel=False):
                     ),
                 )
         rt.run_until_idle()
-        outputs = {
-            name: [
-                (
-                    s.key, s.t_start, s.t_end,
-                    sorted(s.constants.items()),
-                    # Model coefficients included so aggregate parity
-                    # compares computed values, not just window bounds.
-                    sorted((a, repr(p)) for a, p in s.models.items()),
-                )
-                for s in rt.outputs(name)
-            ]
-            for name in rt.query_names
-        }
+        outputs = {name: canonical(rt.outputs(name)) for name in rt.query_names}
         counters = {
             **counter_snapshot("equation_system"),
             **counter_snapshot("resilience"),
@@ -477,6 +285,105 @@ def drive(num_shards, events, fault_rate=0.0, breaker=None, parallel=False):
     finally:
         rt.close()
     return outputs, counters
+
+
+class TestRoundPriming:
+    """What ``num_shards > 1`` does: one prefill sweep per round."""
+
+    def _primed_join_round(self, monkeypatch, events, batch_size):
+        """Run ``events`` through a primed join query; log each prefill
+        call's task count and kernel sweeps, plus the solve-cache hits
+        and misses the processing passes saw."""
+        reset_global_solve_cache()
+        reset_counters()
+        hits = get_counter("solve_cache.hits")
+        misses = get_counter("solve_cache.misses")
+        prefills: list[dict] = []
+        processing = {"hits": 0, "misses": 0, "sweeps": 0}
+        in_prefill = [False]
+        real_solve_tasks = scheduler.solve_tasks
+        real_sweep = batch_solver.solve_relation_batch
+
+        def solve_tasks(tasks, failures=None):
+            call = {"tasks": len(tasks), "sweeps": 0}
+            prefills.append(call)
+            in_prefill[0] = True
+            h, m = hits.value, misses.value
+            try:
+                return real_solve_tasks(tasks, failures)
+            finally:
+                in_prefill[0] = False
+                # Prefill lookups are not the processing pass's.
+                processing["hits"] -= hits.value - h
+                processing["misses"] -= misses.value - m
+
+        def sweep(tasks, failures=None):
+            if in_prefill[0]:
+                prefills[-1]["sweeps"] += 1
+            else:
+                processing["sweeps"] += 1
+            return real_sweep(tasks, failures)
+
+        monkeypatch.setattr(scheduler, "solve_tasks", solve_tasks)
+        monkeypatch.setattr(batch_solver, "solve_relation_batch", sweep)
+        h0, m0 = hits.value, misses.value
+        with QueryRuntime(num_shards=2, batch_size=batch_size) as rt:
+            rt.register(
+                "join",
+                to_continuous_plan(plan_query(parse_query(JOIN_SQL))),
+            )
+            for stream, seg in events:
+                rt.enqueue(stream, seg)
+            rt.run_until_idle()
+            outputs = canonical(rt.outputs("join"))
+            stats = rt.parallel_stats()
+        processing["hits"] += hits.value - h0
+        processing["misses"] += misses.value - m0
+        return prefills, processing, outputs, stats
+
+    def _unprimed_join(self, events):
+        reset_global_solve_cache()
+        reset_counters()
+        with QueryRuntime(num_shards=1, batch_size=len(events)) as rt:
+            rt.register(
+                "join",
+                to_continuous_plan(plan_query(parse_query(JOIN_SQL))),
+            )
+            for stream, seg in events:
+                rt.enqueue(stream, seg)
+            rt.run_until_idle()
+            return canonical(rt.outputs("join"))
+
+    def test_one_round_is_one_prefill_sweep(self, monkeypatch):
+        events = random_trace(3)
+        prefills, processing, outputs, stats = self._primed_join_round(
+            monkeypatch, events, batch_size=len(events)
+        )
+        # The whole round's predicted work is one solve_tasks call whose
+        # misses go through one kernel sweep.
+        assert len(prefills) == 1
+        predicted = prefills[0]["tasks"]
+        assert predicted > 0
+        assert prefills[0]["sweeps"] == 1
+        assert stats == {
+            "num_shards": 2, "rounds_primed": 1, "tasks_primed": predicted,
+        }
+        # Processing then finds every predicted task in the solve cache.
+        assert processing["hits"] >= predicted
+        assert processing["misses"] == 0
+        assert processing["sweeps"] == 0
+        assert outputs
+        assert outputs == self._unprimed_join(events)
+
+    def test_every_round_primes_once(self, monkeypatch):
+        events = random_trace(4)
+        prefills, _, outputs, stats = self._primed_join_round(
+            monkeypatch, events, batch_size=8
+        )
+        assert len(prefills) == stats["rounds_primed"] > 1
+        assert sum(call["tasks"] for call in prefills) == stats["tasks_primed"]
+        assert all(call["sweeps"] <= 1 for call in prefills)
+        assert outputs == self._unprimed_join(events)
 
 
 class TestSerialShardParity:
@@ -488,15 +395,6 @@ class TestSerialShardParity:
         shard_out, shard_counters = drive(num_shards, events)
         assert shard_out == serial_out
         assert shard_counters == serial_counters
-
-    def test_process_pools_match_serial_outputs(self):
-        # The one case that forces real worker processes on every host.
-        # Outputs only: counters that ride home from pool workers are
-        # not part of the parity contract.
-        events = random_trace(1)
-        serial_out, _ = drive(1, events)
-        pooled_out, _ = drive(2, events, parallel=True)
-        assert pooled_out == serial_out
 
     @pytest.mark.parametrize("num_shards", [2, 3])
     def test_breaker_tripping_trace_stays_identical(self, num_shards):
@@ -543,9 +441,10 @@ class TestSerialShardParity:
     def test_parallel_stats_surface(self):
         events = random_trace(11, rows_per_key=3)
         reset_global_solve_cache()
-        reset_worker_root_cache()
         reset_counters()
-        rt = QueryRuntime(num_shards=2, batch_size=16, parallel=False)
+        with QueryRuntime() as serial:
+            assert serial.parallel_stats() is None
+        rt = QueryRuntime(num_shards=2, batch_size=16)
         try:
             rt.register(
                 "join",
@@ -555,7 +454,9 @@ class TestSerialShardParity:
                 rt.enqueue(stream, seg)
             rt.run_until_idle()
             stats = rt.parallel_stats()
+            assert set(stats) == {"num_shards", "rounds_primed", "tasks_primed"}
             assert stats["num_shards"] == 2
-            assert stats["rows_dispatched"] > 0
+            assert stats["rounds_primed"] > 0
+            assert stats["tasks_primed"] > 0
         finally:
             rt.close()

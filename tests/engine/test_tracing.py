@@ -21,10 +21,7 @@ import pytest
 from repro.core import batch_solver, equation_system, plan, solve_cache
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
-from repro.core.solve_cache import (
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import metrics, tracing
 from repro.engine.metrics import reset_counters
@@ -59,10 +56,9 @@ def _events(rows_per_key=3, keys=("a", "b")):
 
 def _run_runtime(num_shards=1, budget_s=None, events=None):
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     rt = QueryRuntime(
-        num_shards=num_shards, parallel=False, slow_solve_budget_s=budget_s
+        num_shards=num_shards, slow_solve_budget_s=budget_s
     )
     try:
         rt.register(

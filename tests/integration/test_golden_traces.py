@@ -28,10 +28,7 @@ import pytest
 
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
-from repro.core.solve_cache import (
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import tracing
 from repro.engine.metrics import counter_snapshot, reset_counters
@@ -91,15 +88,11 @@ SCENARIOS = {
 def run_traced_scenario(sql: str, num_shards: int, trace_path) -> list[dict]:
     """Run one scenario's workload traced; return normalized records."""
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
     with tracing.observability(str(trace_path)):
-        # Inline shards: spans recorded inside pool workers never reach
-        # this process's trace, so a golden must not depend on the
-        # host's core count.
-        rt = QueryRuntime(num_shards=num_shards, parallel=False)
+        rt = QueryRuntime(num_shards=num_shards)
         try:
             rt.register("q", to_continuous_plan(planned))
             for stream, seg in _trace_events():
@@ -174,7 +167,6 @@ def run_multisub_scenario(trace_path, oracle: bool = False):
     from repro.server.bridge import EngineBridge, FitSpec
 
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     delivered: dict[int, list] = {}
 
@@ -263,12 +255,11 @@ def _run_outputs(sql: str, num_shards: int, oracle: bool):
     import contextlib
 
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
     with full_resolve() if oracle else contextlib.nullcontext():
-        rt = QueryRuntime(num_shards=num_shards, parallel=False)
+        rt = QueryRuntime(num_shards=num_shards)
         try:
             rt.register("q", to_continuous_plan(planned))
             for stream, seg in _trace_events():

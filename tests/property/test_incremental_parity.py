@@ -32,10 +32,7 @@ from repro.core.batch_solver import set_fault_hook
 from repro.core.errors import SolverError
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
-from repro.core.solve_cache import (
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine.metrics import get_counter, reset_counters
 from repro.engine.resilience import BreakerConfig
@@ -130,7 +127,6 @@ def canon(outputs):
 
 def run_trace(sql: str, trace, oracle: bool, **runtime_kwargs):
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
@@ -172,11 +168,11 @@ def test_store_matches_full_resolve(query, trace):
 @given(trace=traces())
 @settings(max_examples=10, deadline=None)
 def test_sharded_store_matches_full_serial(trace):
-    """The store composes with the parallel dispatcher: the priming pass
-    and the processing pass share its entries."""
+    """The store composes with round priming: the priming pass and the
+    processing pass share its entries."""
     full_out, _, _ = run_trace(QUERIES["join"], trace, oracle=True)
     out, _, _ = run_trace(
-        QUERIES["join"], trace, oracle=False, num_shards=2, parallel=False
+        QUERIES["join"], trace, oracle=False, num_shards=2
     )
     assert out == full_out
 

@@ -39,10 +39,7 @@ from repro.core.polynomial import Polynomial
 from repro.core.predicate import And, Comparison, Not, Or
 from repro.core.relation import Rel
 from repro.core.segment import Segment
-from repro.core.solve_cache import (
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.query import parse_query, plan_query
 from tests.oracles import segment_at_a_time
@@ -90,7 +87,6 @@ def _timeset(ts) -> tuple:
 def _observe(build, feed, oracle: bool, poisoned: bool):
     """Run ``feed`` through the plan ``build`` makes; everything seen."""
     reset_global_solve_cache()
-    reset_worker_root_cache()
     records: list = []
     outputs: list = []
     error = None

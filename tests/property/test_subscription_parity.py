@@ -40,10 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batch_solver import set_fault_hook
 from repro.core.errors import SolverError
-from repro.core.solve_cache import (
-    reset_global_solve_cache,
-    reset_worker_root_cache,
-)
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine.metrics import reset_counters
 from repro.engine.resilience import BreakerConfig
@@ -123,7 +120,6 @@ def canon(outputs):
 
 def _reset():
     reset_global_solve_cache()
-    reset_worker_root_cache()
     reset_counters()
 
 
