@@ -13,7 +13,7 @@ Schema (stable keys; benchmarks may add their own under ``metrics``):
 
 ```json
 {
-  "name": "scaling_shards",
+  "name": "router_scaling",
   "git_rev": "441536d...",
   "recorded_at": "2026-08-06T12:00:00+00:00",
   "python": "3.12.3",

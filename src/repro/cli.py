@@ -120,14 +120,12 @@ def cmd_run(args) -> int:
         )
         start = time.perf_counter()
         outputs = []
-        if args.shards > 1 or budget_s is not None:
+        if budget_s is not None:
             # The watchdog lives in the runtime's per-arrival timing, so
-            # --slow-solve-ms routes even a serial run through it.
+            # --slow-solve-ms routes the run through it.
             from .engine.scheduler import QueryRuntime
 
-            with QueryRuntime(
-                num_shards=args.shards, slow_solve_budget_s=budget_s
-            ) as runtime:
+            with QueryRuntime(slow_solve_budget_s=budget_s) as runtime:
                 runtime.register("cli", query)
                 for segment in segments:
                     runtime.enqueue(stream, segment)
@@ -144,12 +142,11 @@ def cmd_run(args) -> int:
             for segment in segments:
                 outputs.extend(query.push(stream, segment))
         run_elapsed = time.perf_counter() - start
-        shard_note = f", {args.shards} shards" if args.shards > 1 else ""
         print(
             f"\ncontinuous engine: {len(segments)} segments "
             f"({len(tuples) / max(len(segments), 1):.0f}x compression, "
             f"fit {fit_elapsed * 1e3:.0f} ms), {len(outputs)} result "
-            f"segments in {run_elapsed * 1e3:.0f} ms{shard_note}"
+            f"segments in {run_elapsed * 1e3:.0f} ms"
         )
         for seg in outputs[: args.show]:
             attrs_repr = {
@@ -200,7 +197,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         backpressure=args.backpressure,
         queue_capacity=args.queue_capacity,
-        num_shards=args.shards,
         slow_solve_budget_s=(
             args.slow_solve_ms / 1e3
             if args.slow_solve_ms is not None
@@ -379,11 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tolerance", type=float, default=0.05,
                        help="model-fitting tolerance (absolute)")
     p_run.add_argument("--seed", type=int, default=7)
-    p_run.add_argument(
-        "--shards", type=int, default=1,
-        help="above 1, run through the query runtime and pre-solve each "
-        "round's predicted solves in one in-process sweep "
-        "(1 = direct serial push)")
     p_run.add_argument("--show", type=int, default=3,
                        help="results to print per path")
     p_run.add_argument(
@@ -420,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="block")
     p_serve.add_argument("--queue-capacity", type=int, default=None)
     p_serve.add_argument(
-        "--shards", type=int, default=1,
-        help="above 1, pre-solve each drain round's predicted solves in "
-        "one in-process sweep before processing it (outputs unchanged)")
+        "--shards", type=int, choices=(1,), default=1,
+        help="kept for old launch scripts; only 1 is accepted")
     p_serve.add_argument("--slow-solve-ms", type=float, default=None,
                          metavar="MS")
     p_serve.add_argument("--trace-out", default=None, metavar="PATH")

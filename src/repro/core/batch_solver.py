@@ -330,8 +330,8 @@ def real_roots_rows(
     quartics here as one-row batches.  The result of each row is
     *partition-invariant*: degree bucketing stacks independent
     companion matrices (the eigensolver gufunc loops per matrix) and the
-    Newton polish is element-wise, so solving a row inside a primed
-    round's sweep or alone in its arrival's batch gives the same roots.
+    Newton polish is element-wise, so solving a row inside a pooled
+    run's sweep or alone in its arrival's batch gives the same roots.
     """
     hook = _SPAN_ROOTS
     if hook is None:

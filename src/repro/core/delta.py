@@ -15,8 +15,7 @@ operator owns:
   the segments a system was compiled from, a stale entry (pre-refit
   content) is simply unreachable: invalidation is by construction, not
   by scanning.  One :meth:`SolutionStore.lookup` per probe answers both
-  "is this content compiled?" and "is this domain already solved?"; the
-  round-priming pass and the processing pass meet at the same entry, so
+  "is this content compiled?" and "is this domain already solved?", so
   a probed system compiles once.
 
 Bit-exactness.  A served solution must equal what a direct solve would
@@ -145,8 +144,7 @@ class SolutionStore:
     is whatever the owning operator compiled for that content (``None``
     for operators that solve bare rows); ``solution`` is the ``TimeSet``
     over ``[lo, hi)``, or ``None`` while the content has been compiled
-    but not yet solved (the priming pass leaves such entries for the
-    processing pass to find).  Only *successful* solves are stored, so
+    but not yet solved.  Only *successful* solves are stored, so
     a poisoned system fails inside every probe, and fault-injection /
     breaker behaviour does not depend on what was probed before.
 

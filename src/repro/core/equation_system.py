@@ -306,52 +306,6 @@ class EquationSystem:
                 f"{len(self.rows)} rows exceed the system budget {budget}",
             )
 
-    def row_tasks(self, lo: float, hi: float) -> "list[SolveTask]":
-        """The cache-funnel tasks solving this system would issue.
-
-        Every row solve funnels through
-        :func:`~repro.core.batch_solver.solve_tasks` with
-        ``(poly, rel, lo, hi)`` tasks; this returns that task list
-        without solving.  The equality fast path solves a *derived*
-        candidate row, so it predicts nothing.  Never mutates the
-        system.
-        """
-        if lo >= hi or not self.rows:
-            return []
-        if self.all_equalities and self.is_conjunctive and len(self.rows) > 1:
-            return []
-        return [(row.poly, row.rel, lo, hi) for row in self.rows]
-
-    def root_queries(
-        self, lo: float, hi: float
-    ) -> list[tuple[tuple[float, ...], float, float]]:
-        """The root-finding queries solving this system would issue.
-
-        Mirrors the classification in
-        :func:`~repro.core.batch_solver.solve_relation_batch`: only
-        non-zero, non-constant rows with in-guardrail coefficients reach
-        the root finder, and only over a non-empty domain.  The equality
-        fast path solves a *derived* candidate row instead of the
-        originals, so it predicts nothing.  Used by the sharded
-        runtime's priming pass; never mutates the system.
-        """
-        if lo >= hi or not self.rows:
-            return []
-        if self.all_equalities and self.is_conjunctive and len(self.rows) > 1:
-            return []
-        budget = SOLVER_CONFIG.max_roots_per_row
-        queries: list[tuple[tuple[float, ...], float, float]] = []
-        for row in self.rows:
-            poly = row.poly
-            if poly.is_zero or poly.is_constant or poly.degree > budget:
-                continue
-            try:
-                check_coefficients(poly.coeffs)
-            except SolverError:
-                continue
-            queries.append((poly.coeffs, lo, hi))
-        return queries
-
     def solve_rows(self, lo: float, hi: float) -> list[TimeSet]:
         """Solve every row over ``[lo, hi)`` in one cached batch."""
         row_solve_counter().bump(len(self.rows))

@@ -79,42 +79,6 @@ class ContinuousOperator:
         """Emit any outputs still buffered at end of stream."""
         return []
 
-    def prime_tasks(self, segment: Segment, port: int = 0) -> list:
-        """Predict the solve tasks ``process(segment, port)`` would issue.
-
-        Each entry is a full cache-funnel task ``(poly, rel, lo, hi)``
-        (see :func:`~repro.core.batch_solver.solve_tasks`).  Round
-        priming calls this *read-only* pass to pre-solve a whole drain
-        round's solve work in one sweep that fills the solve cache
-        before processing; implementations must not mutate operator
-        state (remembering a compiled system in the operator's solution
-        store is not state: ``process`` finds it there instead of
-        compiling again).
-
-        The prediction is best-effort and correctness-neutral: a missed
-        task simply computes inline during ``process`` (e.g. a join
-        partner inserted earlier in the same round), and an extra task
-        only warms the caches.  The default predicts nothing — safe
-        for every operator.
-        """
-        return []
-
-    def prime_round(
-        self, arrivals: Sequence[tuple[int, Segment]]
-    ) -> list:
-        """Predict solve tasks for a whole drain round of arrivals.
-
-        ``arrivals`` holds ``(port, segment)`` in processing order.  The
-        default asks :meth:`prime_tasks` per arrival; stateful operators
-        (the join) override this to also predict interactions *between*
-        the round's own arrivals, which per-item prediction cannot see.
-        Must not mutate operator state.
-        """
-        out: list = []
-        for port, segment in arrivals:
-            out.extend(self.prime_tasks(segment, port))
-        return out
-
     def reset(self) -> None:
         """Discard all operator state."""
 
@@ -133,8 +97,7 @@ class SelectiveOperator(ContinuousOperator):
       widest solved domain (see :class:`~repro.core.delta.SolutionStore`).
 
     :meth:`_probe` is the single path through both: at most one lookup
-    in each per probe, shared by ``process``, round priming and slack
-    validation.
+    in each per probe, shared by ``process`` and slack validation.
     """
 
     def __init__(self, predicate: BoolExpr):

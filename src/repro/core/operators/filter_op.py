@@ -132,15 +132,6 @@ class ContinuousFilter(SelectiveOperator):
         if probe_error is not None:
             raise probe_error
 
-    def prime_tasks(self, segment: Segment, port: int = 0):
-        """Exact prediction: the filter is stateless, so the system
-        probed here is the one ``process`` will find in the store.
-        Probes the store already answers predict nothing."""
-        _, system, solution = self._probe_segment(segment)
-        if system is None or solution is not None:
-            return []
-        return system.row_tasks(segment.t_start, segment.t_end)
-
     def slack_system(self, segment: Segment) -> EquationSystem | None:
         """The equation system for slack computation on a null result."""
         return self._probe_segment(segment)[1]

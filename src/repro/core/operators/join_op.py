@@ -25,7 +25,7 @@ from ..equation_system import EquationSystem, solve_systems_batch
 from ..expr import Attr
 from ..predicate import And, BoolExpr, Comparison, Literal
 from ..relation import Rel
-from ..segment import Segment, SegmentBuffer, apply_update_semantics
+from ..segment import Segment, SegmentBuffer
 from .base import (
     AttributeBinding,
     SelectiveOperator,
@@ -249,87 +249,6 @@ class ContinuousJoin(SelectiveOperator):
             for p in solution.points:
                 outputs.append(self._emit_point(left, right, p))
         return outputs
-
-    def prime_tasks(self, segment: Segment, port: int = 0) -> list:
-        """Peek the partner pairs this arrival would align with.
-
-        Read-only: the segment is *not* inserted, the eviction horizon
-        is untouched.  The prediction can under-count (``process``
-        inserts before probing, so a self-join pairs the arrival with
-        itself; partners inserted earlier in the same drain round are
-        invisible here — :meth:`prime_round` covers those) — missed
-        pairs simply solve inline, which is the safe direction.
-        """
-        if port not in (0, 1):
-            return []
-        return self._pair_queries(segment, port, self._partners(segment, port))
-
-    def prime_round(self, arrivals) -> list:
-        """Predict the whole round's pairings, including round-internal ones.
-
-        ``process`` inserts each arrival before probing, so an arrival
-        pairs with buffered partners *and* with every earlier arrival of
-        the round on the opposite port (including itself, for a
-        self-join where one segment feeds both ports).  A virtual
-        per-port buffer — keys are copied out of the real buffer on
-        first touch, then maintained with the same
-        :func:`apply_update_semantics` the real insert uses — replays
-        that sequence without mutating real state.  Replaying update
-        semantics matters: a successor arrival trims its same-key
-        predecessors, so probes later in the round see the *trimmed*
-        partner segments, and predicting against the raw ones would
-        fabricate root queries no solve ever issues.  Eviction is still
-        ignored — evicted partners make this an over-prediction, which
-        only warms the cache.
-        """
-        # port -> {key: segment list}, shadowing the real buffer for
-        # every key an arrival has touched this round.
-        virtual: tuple[dict, dict] = ({}, {})
-        out: list = []
-        for port, segment in arrivals:
-            if port not in (0, 1):
-                continue
-            other = 1 - port
-            vown = virtual[port]
-            current = vown.get(segment.key)
-            if current is None:
-                current = list(self._buffers[port].segments(segment.key))
-            vown[segment.key] = apply_update_semantics(current, segment)
-            vother = virtual[other]
-            partners = [
-                v for v in self._partners(segment, port) if v.key not in vother
-            ]
-            for shadowed in vother.values():
-                partners.extend(
-                    v
-                    for v in shadowed
-                    if v.t_start < segment.t_end and segment.t_start < v.t_end
-                )
-            out.extend(self._pair_queries(segment, port, partners))
-        return out
-
-    def _pair_queries(
-        self, segment: Segment, port: int, partners: list[Segment]
-    ) -> list:
-        """Solve tasks for aligning ``segment`` with ``partners``.
-
-        Pairs the solution store already answers are not predicted —
-        only pairs that will really solve ship to the prime round.
-        """
-        queries: list = []
-        for partner in partners:
-            left, right = (
-                (segment, partner) if port == 0 else (partner, segment)
-            )
-            overlap = left.overlap_range(right)
-            if overlap is None:
-                continue
-            lo, hi = overlap
-            _, system, solution = self._probe_pair(left, right, lo, hi)
-            if system is None or solution is not None:
-                continue
-            queries.extend(system.row_tasks(lo, hi))
-        return queries
 
     def _evict(self, arrival: Segment) -> None:
         """Drop state no future arrival can pair with.

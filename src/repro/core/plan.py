@@ -153,35 +153,6 @@ class ContinuousPlan:
     def operators(self) -> list[ContinuousOperator]:
         return [n.operator for n in self._nodes.values() if n.operator]
 
-    def prime_round(
-        self, arrivals: list[tuple[str, Segment]]
-    ) -> list:
-        """Solve tasks the first operator hop would issue for
-        ``(source, segment)`` arrivals, given in processing order.
-
-        Only the sources' *immediate* successors are asked — deeper
-        operators consume upstream outputs that priming cannot know
-        without actually processing, and a partial prediction is safe
-        (see :meth:`ContinuousOperator.prime_tasks`).  Arrivals are
-        grouped per first-hop operator (preserving order) so stateful
-        operators can predict round-internal interactions — see
-        :meth:`ContinuousOperator.prime_round`.  Read-only.
-        """
-        per_node: dict[int, list[tuple[int, Segment]]] = {}
-        for source, segment in arrivals:
-            src_id = self._sources.get(source)
-            if src_id is None:
-                continue
-            for succ_id, port in self._nodes[src_id].successors:
-                if self._nodes[succ_id].operator is not None:
-                    per_node.setdefault(succ_id, []).append((port, segment))
-        tasks: list = []
-        for succ_id, node_arrivals in per_node.items():
-            tasks.extend(
-                self._nodes[succ_id].operator.prime_round(node_arrivals)
-            )
-        return tasks
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -73,25 +73,6 @@ class TransformedQuery:
             outputs.extend(self.plan.push(source, segment))
         return outputs
 
-    def prime_round(
-        self, items: list[tuple[str, Segment]]
-    ) -> list:
-        """Predicted solve tasks for pushing ``(stream, segment)`` items.
-
-        Expands the stream fan-out exactly like a sequence of
-        :meth:`push` calls would (item by item, each to every scan of
-        its stream, in order) and hands the flattened arrival list to
-        the plan's read-only
-        :meth:`~repro.core.plan.ContinuousPlan.prime_round`.
-        """
-        arrivals: list[tuple[str, Segment]] = []
-        for stream, segment in items:
-            for source in self.stream_sources.get(stream, ()):
-                arrivals.append((source, segment))
-        if not arrivals:
-            return []
-        return self.plan.prime_round(arrivals)
-
     def materialize(self, outputs: list[Segment]) -> list[dict]:
         """Sample output segments into tuples (Section III-C).
 

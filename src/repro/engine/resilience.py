@@ -136,19 +136,6 @@ class CircuitBreaker:
         get_counter("resilience.breaker.shed").bump()
         return False
 
-    def peek(self, query: str, key: Hashable) -> bool:
-        """What :meth:`allow` *would* answer, without mutating state.
-
-        Used by the sharded runtime's priming pass, which must predict
-        routing for a whole drain round before processing it — consuming
-        quarantine ticks there would make breaker behaviour depend on
-        whether priming ran, breaking serial/sharded parity.
-        """
-        health = self._health.get((query, key))
-        if health is None or health.state is not BreakerState.OPEN:
-            return True
-        return health.quarantine_ticks + 1 >= self.config.backoff
-
     def state(self, query: str, key: Hashable) -> BreakerState:
         health = self._health.get((query, key))
         return health.state if health is not None else BreakerState.CLOSED

@@ -32,7 +32,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.batch_solver import solve_tasks
 from ..core.errors import PlanError, PulseError
 
 #: What the per-item fault boundary contains: library failures plus the
@@ -127,14 +126,6 @@ class QueryRuntime:
         :class:`~repro.engine.resilience.BreakerConfig` to build one)
         gating the continuous path per (query, key).  ``None`` disables
         quarantine; step failures still degrade to the fallback.
-    num_shards:
-        ``1`` (the default) processes each drain round arrival by
-        arrival.  Above 1, each round of a continuous query is first
-        *primed*: its predicted solve tasks are pre-solved in one
-        in-process :func:`~repro.core.batch_solver.solve_tasks` sweep
-        that fills the solve cache, then the items are processed
-        unchanged in arrival order, so outputs are bit-identical to
-        ``num_shards=1``.  Any value above 1 behaves the same.
     slow_solve_budget_s:
         Latency budget per processed arrival.  When set, every item is
         timed and exceedances are flagged through the
@@ -158,7 +149,6 @@ class QueryRuntime:
         queue_capacity: int | None = None,
         backpressure: str = "block",
         breaker: CircuitBreaker | BreakerConfig | None = None,
-        num_shards: int = 1,
         slow_solve_budget_s: float | None = None,
         durability: Durability | None = None,
     ):
@@ -169,18 +159,12 @@ class QueryRuntime:
                 f"backpressure policy must be one of "
                 f"{BACKPRESSURE_POLICIES}, got {backpressure!r}"
             )
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         self.batch_size = batch_size
         self.queue_capacity = queue_capacity
         self.backpressure = backpressure
         if isinstance(breaker, BreakerConfig):
             breaker = CircuitBreaker(breaker)
         self.breaker = breaker
-        self.num_shards = num_shards
-        #: Rounds primed and solve tasks they predicted (``num_shards > 1``).
-        self.rounds_primed = 0
-        self.tasks_primed = 0
         self._durability = durability
         #: Sequence number of the most recent WAL-logged arrival; the
         #: durable resume point exposed to clients after recovery.
@@ -214,7 +198,6 @@ class QueryRuntime:
         # (or the watchdog is set), so a plain run never touches them.
         self._round_hist = get_histogram("runtime.round_seconds")
         self._arrival_hist = get_histogram("runtime.arrival_seconds")
-        self._prime_hist = get_histogram("runtime.prime_seconds")
 
     # ------------------------------------------------------------------
     # registration
@@ -385,10 +368,9 @@ class QueryRuntime:
         name = self._round_robin[0]
         self._round_robin.rotate(-1)
         reg = self._queries[name]
-        # Drain-then-process: the round's items are collected first (in
-        # exactly the order the serial loop would have popped them —
-        # processing never enqueues, so the split changes nothing), which
-        # gives priming one look at the whole round.
+        # Drain-then-process: the round's items are collected first, in
+        # exactly the order the serial loop would have popped them
+        # (processing never enqueues, so the split changes nothing).
         drained: list[tuple[str, Segment | StreamTuple]] = []
         while len(drained) < self.batch_size and reg.pending:
             for stream, queue in reg.queues.items():
@@ -399,27 +381,21 @@ class QueryRuntime:
                 self._total_pending -= 1
                 if len(drained) >= self.batch_size:
                     break
-        prime = self.num_shards > 1 and isinstance(
-            reg.query, TransformedQuery
-        )
         observing = tracing.observability_enabled()
         watchdog = self._watchdog
         if not observing and watchdog is None:
             # The untouched fast path: zero instrumentation calls, zero
             # clock reads (pinned by ``tests/engine/test_tracing.py``).
-            if prime:
-                self._prime_round(reg, drained)
             for stream, item in drained:
                 self._process_item(reg, stream, item)
                 reg.items_processed += 1
             return len(drained)
-        return self._step_observed(reg, drained, prime, observing, watchdog)
+        return self._step_observed(reg, drained, observing, watchdog)
 
     def _step_observed(
         self,
         reg: _Registration,
         drained: list,
-        prime: bool,
         observing: bool,
         watchdog: SlowSolveWatchdog | None,
     ) -> int:
@@ -439,22 +415,6 @@ class QueryRuntime:
         )
         t_round = time.perf_counter()
         try:
-            if prime:
-                prime_span = (
-                    tracer.start("prime", "prime", query=reg.name)
-                    if tracer is not None
-                    else None
-                )
-                t_prime = time.perf_counter()
-                try:
-                    self._prime_round(reg, drained)
-                finally:
-                    if observing:
-                        self._prime_hist.observe(
-                            time.perf_counter() - t_prime
-                        )
-                    if prime_span is not None:
-                        tracer.finish(prime_span)
             for stream, item in drained:
                 self._process_item_observed(
                     reg, stream, item, tracer, observing, watchdog
@@ -506,46 +466,6 @@ class QueryRuntime:
                         seconds=elapsed, budget_s=watchdog.budget_s,
                     )
                 tracer.finish(span, outputs=emitted)
-
-    def _prime_round(
-        self,
-        reg: _Registration,
-        drained: list[tuple[str, Segment | StreamTuple]],
-    ) -> None:
-        """Pre-solve the round's predicted tasks in one sweep.
-
-        The plan predicts, read-only, the solve tasks the round's items
-        will issue; one :func:`~repro.core.batch_solver.solve_tasks`
-        call then solves them together (one kernel sweep over the cache
-        misses) and fills the solve cache, so per-arrival processing
-        hits it instead of paying the kernel machinery per arrival.
-
-        Best-effort: keys the breaker would refuse are skipped (via the
-        non-mutating :meth:`CircuitBreaker.peek`, so quarantine ticks
-        are not consumed), and a prediction error skips priming.
-        Failures are recorded, never raised and never cached, so a
-        poisoned task still fails inside ``process`` exactly as the
-        unprimed path would.
-        """
-        items: list[tuple[str, Segment]] = []
-        for stream, item in drained:
-            if not isinstance(item, Segment):
-                continue
-            if self.breaker is not None and not self.breaker.peek(
-                reg.name, item.key
-            ):
-                continue
-            items.append((stream, item))
-        if not items:
-            return
-        try:
-            tasks = reg.query.prime_round(items)
-            if tasks:
-                solve_tasks(tasks, failures={})
-        except _ITEM_FAULTS:
-            return
-        self.rounds_primed += 1
-        self.tasks_primed += len(tasks)
 
     def _process_item(
         self, reg: _Registration, stream: str, item: Segment | StreamTuple
@@ -668,8 +588,8 @@ class QueryRuntime:
     def restore_state(self, state: Mapping) -> None:
         """Load a :meth:`checkpoint_state` dict, replacing all state.
 
-        The runtime's *configuration* (batch size, capacity, policy,
-        shards) is not part of the snapshot — build the runtime with
+        The runtime's *configuration* (batch size, capacity, policy)
+        is not part of the snapshot — build the runtime with
         the desired knobs, then restore into it.  Advances the global
         segment-id counter past the snapshot's watermark so ids issued
         after the restore never collide with restored segments (lineage
@@ -842,13 +762,3 @@ class QueryRuntime:
                 "slow_solves": self._watchdog.slow_solves,
             }
         return stats
-
-    def parallel_stats(self) -> Mapping[str, object] | None:
-        """Round-priming counts; ``None`` when ``num_shards`` is 1."""
-        if self.num_shards == 1:
-            return None
-        return {
-            "num_shards": self.num_shards,
-            "rounds_primed": self.rounds_primed,
-            "tasks_primed": self.tasks_primed,
-        }

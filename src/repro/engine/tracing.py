@@ -7,8 +7,6 @@ one record per unit of work, with an explicit ``parent_id`` — covering
 the full life of an arrival::
 
     round                       one scheduler drain round
-    ├─ prime                    sharded prefill sweep (shards > 1)
-    │  └─ solve ─ root_query    predicted tasks through the cache funnel
     └─ arrival                  one queued item being processed
        ├─ operator              one plan node processing one run of inputs
        │  └─ solve              an equation-system / cache-funnel solve
@@ -56,7 +54,6 @@ TRACE_SCHEMA_VERSION = 1
 #: Span kinds emitted by the engine (test suites assert against these).
 SPAN_KINDS = (
     "round",
-    "prime",
     "arrival",
     "operator",
     "solve",

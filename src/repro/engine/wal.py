@@ -3,7 +3,7 @@
 The WAL records every ingested item *before* it reaches operator state,
 so a crashed process can replay the tail past its last checkpoint and
 reconverge bit-exactly (the engine is deterministic given the same
-arrival order — the same property the shard-parity tests pin).
+arrival order — the same property the run-parity tests pin).
 
 Frame layout (all integers little-endian)::
 

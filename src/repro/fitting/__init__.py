@@ -6,7 +6,7 @@ from .model_builder import (
     compile_model_clause,
     predictive_segment,
 )
-from .regression import FitResult, fit_error, fit_polynomial, interpolate_line
+from .regression import FitResult, fit_polynomial
 from .segmentation import (
     OnlineSegmenter,
     SegmentFit,
@@ -23,9 +23,7 @@ __all__ = [
     "bottom_up_segmentation",
     "build_segments",
     "compile_model_clause",
-    "fit_error",
     "fit_polynomial",
-    "interpolate_line",
     "predictive_segment",
     "sliding_window_segmentation",
     "swab_segmentation",

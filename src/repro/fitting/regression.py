@@ -54,18 +54,3 @@ def fit_polynomial(
     max_err = float(np.max(np.abs(residuals)))
     rms = float(np.sqrt(np.mean(residuals**2)))
     return FitResult(poly, max_err, rms)
-
-
-def fit_error(
-    times: Sequence[float], values: Sequence[float], degree: int = 1
-) -> float:
-    """Max residual of the best fit — segmentation's split criterion."""
-    return fit_polynomial(times, values, degree).max_error
-
-
-def interpolate_line(t0: float, y0: float, t1: float, y1: float) -> Polynomial:
-    """The line through two points (used by fast segmentation variants)."""
-    if t1 == t0:
-        return Polynomial([y0])
-    slope = (y1 - y0) / (t1 - t0)
-    return Polynomial([y0 - slope * t0, slope])

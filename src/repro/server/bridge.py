@@ -220,7 +220,7 @@ class EngineBridge:
     ----------
     runtime_kwargs:
         Passed to :class:`~repro.engine.scheduler.QueryRuntime`
-        (``queue_capacity``, ``backpressure``, ``num_shards``,
+        (``queue_capacity``, ``backpressure``,
         ``slow_solve_budget_s``, ...).
     default_tolerance:
         Fitting tolerance for continuous subscriptions that specify no
@@ -1081,9 +1081,6 @@ class EngineBridge:
             "items_dropped": self.runtime.items_dropped,
             "resilience": _json_safe(self.runtime.resilience_stats()),
         }
-        parallel = self.runtime.parallel_stats()
-        if parallel is not None:
-            stats["parallel"] = _json_safe(parallel)
         if self._durability is not None:
             stats["durability"] = _json_safe(
                 {

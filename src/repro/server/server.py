@@ -51,6 +51,8 @@ class ServerConfig:
     batch_size: int = 64
     queue_capacity: int | None = None
     backpressure: str = "block"
+    #: Kept for old callers; the runtime has one processing pass, so
+    #: only ``1`` is accepted.
     num_shards: int = 1
     slow_solve_budget_s: float | None = None
     breaker: BreakerConfig | None = None
@@ -70,12 +72,18 @@ class ServerConfig:
     #: resume a merge across a worker crash with no gap.
     retain_results: int = 0
 
+    def __post_init__(self) -> None:
+        if self.num_shards != 1:
+            raise ValueError(
+                f"num_shards must be 1 (round priming was removed), "
+                f"got {self.num_shards}"
+            )
+
     def runtime_kwargs(self) -> dict:
         kwargs: dict = {
             "batch_size": self.batch_size,
             "queue_capacity": self.queue_capacity,
             "backpressure": self.backpressure,
-            "num_shards": self.num_shards,
             "slow_solve_budget_s": self.slow_solve_budget_s,
         }
         if self.breaker is not None:

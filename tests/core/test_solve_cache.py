@@ -126,3 +126,12 @@ class TestGlobalCacheWiring:
             SOLVER_CONFIG.cache_size = saved
         assert second is not first
         assert second.maxsize == saved + 1
+
+
+class TestSignedZeroKeys:
+    def test_solve_cache_key_canonicalizes_negative_zero(self):
+        cache = SolveCache(maxsize=16)
+        k_pos = cache.key(Polynomial([0.0, 1.0]), Rel.GT, 0.0, 1.0)
+        k_neg = cache.key(Polynomial([-0.0, 1.0]), Rel.GT, -0.0, 1.0)
+        assert k_pos == k_neg
+        assert "-0.0" not in repr(k_neg)

@@ -54,12 +54,10 @@ def _events(rows_per_key=3, keys=("a", "b")):
     return events
 
 
-def _run_runtime(num_shards=1, budget_s=None, events=None):
+def _run_runtime(budget_s=None, events=None):
     reset_global_solve_cache()
     reset_counters()
-    rt = QueryRuntime(
-        num_shards=num_shards, slow_solve_budget_s=budget_s
-    )
+    rt = QueryRuntime(slow_solve_budget_s=budget_s)
     try:
         rt.register(
             "filt",
@@ -206,10 +204,10 @@ class TestEndToEndTrace:
         yield
         tracing.disable_observability()
 
-    def _traced_run(self, tmp_path, num_shards=1, budget_s=None):
+    def _traced_run(self, tmp_path, budget_s=None):
         path = tmp_path / "trace.jsonl"
         with tracing.observability(str(path)):
-            _run_runtime(num_shards=num_shards, budget_s=budget_s)
+            _run_runtime(budget_s=budget_s)
         return read_trace(path)
 
     def test_serial_trace_builds_valid_tree(self, tmp_path):
@@ -231,11 +229,6 @@ class TestEndToEndTrace:
         for s in spans:
             if s.kind == "root_query":
                 assert by_id[s.parent_id].kind == "solve"
-
-    def test_sharded_trace_has_prime_spans(self, tmp_path):
-        spans = self._traced_run(tmp_path, num_shards=2)
-        build_span_tree(spans)  # structural validation
-        assert any(s.kind == "prime" for s in spans)
 
     def test_every_arrival_gets_an_emit_event(self, tmp_path):
         spans = self._traced_run(tmp_path)
@@ -312,9 +305,8 @@ class TestZeroCostWhenDisabled:
         monkeypatch.setattr(Tracer, "event", forbid)
         monkeypatch.setattr(tracing._TimedSpanSite, "__enter__", forbid)
         monkeypatch.setattr(tracing._OperatorSite, "__enter__", forbid)
-        for shards in (1, 2):
-            outputs, _ = _run_runtime(num_shards=shards)
-            assert any(len(o) for o in outputs)
+        outputs, _ = _run_runtime()
+        assert any(len(o) for o in outputs)
 
     def test_scheduler_fast_path_reads_no_clock(self, monkeypatch):
         import repro.engine.scheduler as sched

@@ -12,7 +12,6 @@ from repro.fitting import (
     build_segments,
     compile_model_clause,
     fit_polynomial,
-    interpolate_line,
     predictive_segment,
     sliding_window_segmentation,
     swab_segmentation,
@@ -52,11 +51,6 @@ class TestRegression:
         y = 5.0 + 0.25 * (t - 1.7e9)
         fit = fit_polynomial(t, y, degree=1)
         assert fit.max_error < 1e-5
-
-    def test_interpolate_line(self):
-        line = interpolate_line(1.0, 2.0, 3.0, 6.0)
-        assert line(1.0) == pytest.approx(2.0)
-        assert line(3.0) == pytest.approx(6.0)
 
 
 def _piecewise_signal(n_pieces=4, points_per_piece=25, slope_scale=2.0, seed=3):

@@ -10,7 +10,7 @@ which are the one nondeterministic part of a trace.
 Because span ids are allocated in execution order, these goldens pin
 not just the *shape* of the instrumentation but the engine's entire
 observable execution order: a change to operator cascade order, solve
-batching, prime scheduling, or span parenting shows up as a golden
+batching, or span parenting shows up as a golden
 diff.  That is the point — such changes must be deliberate.
 
 After an intentional change, regenerate with::
@@ -66,33 +66,26 @@ def _trace_events():
 
 
 SCENARIOS = {
-    "filter": ("select * from ticks where x > 0", 1),
+    "filter": "select * from ticks where x > 0",
     "join": (
         "select from ticks T join quotes Q "
-        "on (T.sym = Q.sym and T.x > Q.y)",
-        1,
+        "on (T.sym = Q.sym and T.x > Q.y)"
     ),
     "aggregate": (
         "select sym, avg(x) as ax from ticks [size 4 advance 2] "
-        "group by sym",
-        1,
-    ),
-    "join_sharded": (
-        "select from ticks T join quotes Q "
-        "on (T.sym = Q.sym and T.x > Q.y)",
-        2,
+        "group by sym"
     ),
 }
 
 
-def run_traced_scenario(sql: str, num_shards: int, trace_path) -> list[dict]:
+def run_traced_scenario(sql: str, trace_path) -> list[dict]:
     """Run one scenario's workload traced; return normalized records."""
     reset_global_solve_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
     with tracing.observability(str(trace_path)):
-        rt = QueryRuntime(num_shards=num_shards)
+        rt = QueryRuntime()
         try:
             rt.register("q", to_continuous_plan(planned))
             for stream, seg in _trace_events():
@@ -118,9 +111,8 @@ def normalize(record: dict) -> dict:
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_trace_matches_golden(scenario, tmp_path, update_goldens):
-    sql, num_shards = SCENARIOS[scenario]
     actual = run_traced_scenario(
-        sql, num_shards, tmp_path / "trace.jsonl"
+        SCENARIOS[scenario], tmp_path / "trace.jsonl"
     )
     _assert_no_window_function_vanished()
     golden_path = GOLDEN_DIR / f"trace_{scenario}.json"
@@ -250,7 +242,7 @@ def _canon_outputs(outputs):
     ]
 
 
-def _run_outputs(sql: str, num_shards: int, oracle: bool):
+def _run_outputs(sql: str, oracle: bool):
     """Run one scenario's workload untraced; return value-canonical outputs."""
     import contextlib
 
@@ -259,7 +251,7 @@ def _run_outputs(sql: str, num_shards: int, oracle: bool):
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
     with full_resolve() if oracle else contextlib.nullcontext():
-        rt = QueryRuntime(num_shards=num_shards)
+        rt = QueryRuntime()
         try:
             rt.register("q", to_continuous_plan(planned))
             for stream, seg in _trace_events():
@@ -280,9 +272,9 @@ def test_full_resolve_output_parity(scenario):
     re-solve oracle, and the output streams are compared by value — the
     store's contract is bit-exact equality with solving every probe.
     """
-    sql, num_shards = SCENARIOS[scenario]
-    full = _run_outputs(sql, num_shards, oracle=True)
-    assert _run_outputs(sql, num_shards, oracle=False) == full
+    sql = SCENARIOS[scenario]
+    full = _run_outputs(sql, oracle=True)
+    assert _run_outputs(sql, oracle=False) == full
 
 
 def test_goldens_have_no_strays():
@@ -304,9 +296,8 @@ class TestSuiteCatchesPerturbations:
 
     @pytest.fixture(scope="class")
     def filter_run(self, tmp_path_factory):
-        sql, num_shards = SCENARIOS["filter"]
         tmp = tmp_path_factory.mktemp("perturb")
-        return run_traced_scenario(sql, num_shards, tmp / "trace.jsonl")
+        return run_traced_scenario(SCENARIOS["filter"], tmp / "trace.jsonl")
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -340,9 +331,8 @@ class TestSuiteCatchesPerturbations:
         assert mutated != golden
 
     def test_dangling_parent_fails_tree_validation(self, tmp_path):
-        sql, num_shards = SCENARIOS["filter"]
         path = tmp_path / "trace.jsonl"
-        run_traced_scenario(sql, num_shards, path)
+        run_traced_scenario(SCENARIOS["filter"], path)
         lines = path.read_text().splitlines()
         recs = [json.loads(line) for line in lines]
         victim = next(r for r in recs if r["parent_id"] is not None)

@@ -125,15 +125,14 @@ def canon(outputs):
     ]
 
 
-def run_trace(sql: str, trace, oracle: bool, **runtime_kwargs):
+def run_trace(sql: str, trace, oracle: bool):
     reset_global_solve_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
     with full_resolve() if oracle else nullcontext():
         rt = QueryRuntime(
-            breaker=BreakerConfig(failure_threshold=2, backoff=10_000),
-            **runtime_kwargs,
+            breaker=BreakerConfig(failure_threshold=2, backoff=10_000)
         )
         try:
             rt.register("q", to_continuous_plan(planned))
@@ -163,18 +162,6 @@ def test_store_matches_full_resolve(query, trace):
     assert out == full_out
     assert solves <= full_solves
     assert errors == full_errors
-
-
-@given(trace=traces())
-@settings(max_examples=10, deadline=None)
-def test_sharded_store_matches_full_serial(trace):
-    """The store composes with round priming: the priming pass and the
-    processing pass share its entries."""
-    full_out, _, _ = run_trace(QUERIES["join"], trace, oracle=True)
-    out, _, _ = run_trace(
-        QUERIES["join"], trace, oracle=False, num_shards=2
-    )
-    assert out == full_out
 
 
 # ----------------------------------------------------------------------

@@ -12,14 +12,17 @@ written before the ack that produced them) makes drains deterministic.
 """
 
 import json
+import random
 import socket
 
 import pytest
 
+from repro.bench.queries import FOLLOWING_SQL, MACD_SQL
+from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import tracing
 from repro.engine.lowering import to_discrete_plan
-from repro.engine.metrics import get_counter
+from repro.engine.metrics import get_counter, reset_counters
 from repro.engine.tuples import StreamTuple
 from repro.fitting.model_builder import StreamModelBuilder
 from repro.query import parse_query, plan_query
@@ -69,21 +72,71 @@ def discrete_reference(tuples):
     return serialize_results(outputs)
 
 
-def continuous_reference(tuples, bound):
+def continuous_reference(tuples, bound, sql=QUERY, stream=STREAM, fit=FIT):
     builder = StreamModelBuilder(
-        tuple(FIT["attrs"]),
+        tuple(fit["attrs"]),
         bound,
-        key_fields=tuple(FIT["key_fields"]),
-        constants=tuple(FIT["key_fields"]),
+        key_fields=tuple(fit["key_fields"]),
+        constants=tuple(fit["key_fields"]),
     )
-    query = to_continuous_plan(plan_query(parse_query(QUERY)))
+    query = to_continuous_plan(plan_query(parse_query(sql)))
     outputs = []
     for tup in tuples:
         for seg in builder.add(StreamTuple(tup)):
-            outputs.extend(query.push(STREAM, seg))
+            outputs.extend(query.push(stream, seg))
     for seg in builder.finish():
-        outputs.extend(query.push(STREAM, seg))
+        outputs.extend(query.push(stream, seg))
     return serialize_results(outputs)
+
+
+#: The paper's two queries, windows shrunk to these traces' ~60-90 s
+#: span as in the benchmark, plus a modeled filter over the same vessels.
+MACD = MACD_SQL.replace("[size 10 advance 2]", "[size 4 advance 1]").replace(
+    "[size 60 advance 2]", "[size 12 advance 1]"
+)
+FOLLOWING = FOLLOWING_SQL.replace(
+    "[size 600 advance 10]", "[size 60 advance 10]"
+)
+VESSEL_FIT = {"attrs": ["x", "y"], "key_fields": ["id"]}
+
+
+def trades(n, seed=5):
+    """Round-robin random-walk prices for three symbols, 10 per second."""
+    rng = random.Random(seed)
+    symbols = ("ibm", "aapl", "msft")
+    price = {s: 100.0 + 10 * i for i, s in enumerate(symbols)}
+    rows = []
+    for i in range(n):
+        s = symbols[i % len(symbols)]
+        price[s] += rng.uniform(-1.0, 1.0)
+        rows.append({"time": i * 0.1, "symbol": s, "price": round(price[s], 4)})
+    return rows
+
+
+def vessels(n, seed=5):
+    """Three vessels on piecewise-linear courses, 10 reports per second."""
+    rng = random.Random(seed)
+    ids = ("v0", "v1", "v2")
+    pos = {v: [10.0 * k, 5.0 * k] for k, v in enumerate(ids)}
+    vel = {v: [1.0, 0.5] for v in ids}
+    rows = []
+    for i in range(n):
+        v = ids[i % len(ids)]
+        if rng.random() < 0.05:
+            vel[v] = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
+        pos[v][0] += vel[v][0] * 0.3
+        pos[v][1] += vel[v][1] * 0.3
+        rows.append({"time": i * 0.1, "id": v, "x": pos[v][0], "y": pos[v][1]})
+    return rows
+
+
+PAPER_SHAPES = {
+    "macd": (MACD, "trades", {"attrs": ["price"], "key_fields": ["symbol"]},
+             0.01, lambda: trades(600)),
+    "following": (FOLLOWING, "vessels", VESSEL_FIT, 5.0, lambda: vessels(900)),
+    "filter": ("select * from vessels where x > 20", "vessels", VESSEL_FIT,
+               0.05, lambda: vessels(600)),
+}
 
 
 class TestHandshake:
@@ -97,6 +150,12 @@ class TestHandshake:
         with PulseClient("127.0.0.1", server.port) as c:
             with pytest.raises(ServerError):
                 c.connect(backpressure="yolo")
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_num_shards_pinned_to_one(self, shards):
+        assert "num_shards" not in ServerConfig().runtime_kwargs()
+        with pytest.raises(ValueError):
+            ServerConfig(num_shards=shards)
 
 
 class TestDiscreteParity:
@@ -137,6 +196,28 @@ class TestContinuousParity:
             c.flush()
             results = c.drain_results(sub["subscription"])
         expected = continuous_reference(tuples, bound)
+        assert len(results) == len(expected) > 0
+        assert results == expected
+
+    @pytest.mark.parametrize("shape", sorted(PAPER_SHAPES))
+    def test_paper_queries_bit_exact(self, shape):
+        """The MACD and "following" queries (and a modeled filter) served
+        through the socket equal their in-process run, pushed in
+        batches of 50."""
+        sql, stream, fit, bound, make_rows = PAPER_SHAPES[shape]
+        rows = make_rows()
+        reset_global_solve_cache()
+        reset_counters()
+        with ServerThread(ServerConfig()) as handle:
+            with PulseClient("127.0.0.1", handle.port) as c:
+                c.connect()
+                c.register("q", sql, fit=fit)
+                sub = c.subscribe("q", error_bound=bound)
+                for i in range(0, len(rows), 50):
+                    c.ingest(stream, rows[i : i + 50])
+                c.flush()
+                results = c.drain_results(sub["subscription"])
+        expected = continuous_reference(rows, bound, sql, stream, fit)
         assert len(results) == len(expected) > 0
         assert results == expected
 

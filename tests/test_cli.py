@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestExplain:
@@ -64,6 +64,19 @@ class TestRun:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--query", "select * from s", "--workload", "bogus"])
+
+    def test_shards_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["run", "--query", "select * from s", "--shards", "1"])
+
+
+class TestServe:
+    def test_shards_pinned_to_one(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--shards", "1"]).shards == 1
+        for bad in ("0", "2"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", "--shards", bad])
 
 
 class TestParams:
