@@ -43,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from harness import record_result  # noqa: E402
 
 from repro.core.solve_cache import reset_global_solve_cache  # noqa: E402
-from repro.core.transform import TransformedQuery, to_continuous_plan  # noqa: E402
+from repro.core.transform import to_continuous_plan  # noqa: E402
 from repro.engine.metrics import get_counter, reset_counters  # noqa: E402
 from repro.engine.scheduler import QueryRuntime  # noqa: E402
 from repro.engine.tuples import StreamTuple  # noqa: E402
@@ -179,13 +179,7 @@ def run_baseline(n_subs: int) -> dict:
             name = f"q{qi}~c@{j}"
             compiled = to_continuous_plan(planned[qi])
             stream = f"s{qi}"
-            namespaced = TransformedQuery(
-                compiled.plan,
-                {f"{name}/{stream}": compiled.stream_sources[stream]},
-                sample_period=compiled.sample_period,
-                inferred_period=compiled.inferred_period,
-                error_bound=compiled.error_bound,
-            )
+            namespaced = compiled.renamed({stream: f"{name}/{stream}"})
             rt.register(name, namespaced)
             builder = StreamModelBuilder(
                 FIT.attrs,

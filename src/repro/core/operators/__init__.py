@@ -5,7 +5,7 @@ from .aggregate_sum import ContinuousSumAggregate, make_aggregate
 from .base import AttributeBinding, ContinuousOperator, partial_evaluate
 from .filter_op import ContinuousFilter
 from .groupby import ContinuousGroupBy
-from .join_op import ContinuousJoin
+from .join_op import ContinuousJoin, SymmetricSelfJoin
 from .map_op import ContinuousMap, Projection
 from .sampler import OutputSampler
 
@@ -20,6 +20,7 @@ __all__ = [
     "ContinuousSumAggregate",
     "OutputSampler",
     "Projection",
+    "SymmetricSelfJoin",
     "make_aggregate",
     "partial_evaluate",
 ]

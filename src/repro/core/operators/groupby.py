@@ -6,14 +6,24 @@ f, impl for f per group").  The grouping key defaults to the segments'
 key attributes, which matches the paper's functional-dependency property:
 modeled attributes are functional dependents of keys throughout the
 dataflow (Property 2, Section IV-B).
+
+Above a swap-invariant self-join the group-by also takes a ``mirror``
+(:class:`~repro.core.symmetry.GroupMirror`): a group and its mirror
+group (``(a, b)`` and ``(b, a)``) then share one state, kept in the
+orientation the pair was first seen in, and a row of the other
+orientation goes in mirrored and its outputs come back mirrored.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
+from ..errors import PlanError
 from ..segment import Key, Segment
 from .base import ContinuousOperator
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from ..symmetry import GroupMirror
 
 
 def segment_key(segment: Segment) -> Key:
@@ -36,10 +46,8 @@ class ContinuousGroupBy(ContinuousOperator):
     group_key:
         Function extracting the grouping key from a segment; defaults to
         the segment's key attributes.
-    having:
-        Optional post-aggregation predicate applied to each output
-        segment (a callable receiving the output segment and returning
-        the filtered list; composed in plans from a ContinuousFilter).
+    mirror:
+        A swap-invariant self-join's group mirror, or ``None``.
     """
 
     arity = 1
@@ -49,10 +57,12 @@ class ContinuousGroupBy(ContinuousOperator):
         factory: Callable[[], ContinuousOperator],
         group_key: Callable[[Segment], Key] | None = None,
         name: str = "group-by",
+        mirror: "GroupMirror | None" = None,
     ):
         self.factory = factory
         self.group_key = group_key or segment_key
         self.name = name
+        self.mirror = mirror
         self._groups: dict[Key, ContinuousOperator] = {}
 
     @property
@@ -70,12 +80,29 @@ class ContinuousGroupBy(ContinuousOperator):
 
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
         key = self.group_key(segment)
-        return self.group(key).process(segment, port)
+        mirror = self.mirror
+        if mirror is None or key in self._groups:
+            return self.group(key).process(segment, port)
+        twin_key = mirror.twin_key(key)
+        twin = self._groups.get(twin_key)
+        if twin is None:
+            if twin_key == key:
+                # Such a group takes both orientations of its rows, so
+                # it has no mirror to share a state with.
+                raise PlanError(
+                    f"group {key!r} of a self-join is its own mirror"
+                )
+            return self.group(key).process(segment, port)
+        outputs = twin.process(mirror.rows.mirror(segment), port)
+        return [mirror.outputs.mirror(out) for out in outputs]
 
     def flush(self) -> list[Segment]:
         out: list[Segment] = []
         for agg in self._groups.values():
-            out.extend(agg.flush())
+            flushed = agg.flush()
+            out.extend(flushed)
+            if self.mirror is not None:
+                out.extend(self.mirror.outputs.mirror(s) for s in flushed)
         return out
 
     def reset(self) -> None:

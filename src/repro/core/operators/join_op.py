@@ -17,11 +17,16 @@ Top-level conjuncts ``<left>.a = <right>.b`` partition both buffers by
 those attributes' values, and an arrival probes only the partition its
 own values select — the continuous counterpart of
 :class:`~repro.engine.operators.hash_join.DiscreteHashJoin`.
+
+:class:`SymmetricSelfJoin` is the one-input form a swap-invariant
+self-join lowers to (see :mod:`repro.core.transform`): one buffer, one
+probe per arrival, each pair once.
 """
 
 from __future__ import annotations
 
 from ..equation_system import EquationSystem, solve_systems_batch
+from ..errors import PlanError
 from ..expr import Attr
 from ..predicate import And, BoolExpr, Comparison, Literal
 from ..relation import Rel
@@ -320,3 +325,61 @@ class ContinuousJoin(SelectiveOperator):
     @property
     def state_size(self) -> int:
         return len(self._buffers[0]) + len(self._buffers[1])
+
+
+class SymmetricSelfJoin(ContinuousJoin):
+    """A swap-invariant self-join: one buffer, each pair probed once.
+
+    The two-input join of a stream with itself buffers every segment
+    twice and pairs each arrival with every partner twice, once per
+    side.  When the predicate cannot tell the sides apart (the plan
+    rewrite checks that), this operator keeps one buffer and emits each
+    pair once, oriented with the arrival on the left side: exactly what
+    the two-input join emits for the arrival on its left input.  The
+    plan's output stage emits the other orientation as mirror twins.
+
+    The arrival is inserted before it probes, so it never pairs with
+    the part of its own key's predecessor it overrides; a segment is
+    never paired with itself (the rewrite requires a conjunct
+    ``<left>.a <> <right>.a``, which rejects that pair).
+    """
+
+    arity = 1
+
+    def __init__(
+        self,
+        predicate: BoolExpr,
+        left_alias: str = "L",
+        right_alias: str = "R",
+        window: float | None = None,
+        name: str = "self-join",
+    ):
+        super().__init__(predicate, left_alias, right_alias, window, name)
+        # Both sides read the one buffer, so the inherited probe,
+        # eviction and slack paths need no change.
+        self._buffers = (self._buffers[0], self._buffers[0])
+
+    def process(self, segment: Segment, port: int = 0) -> list[Segment]:
+        if port != 0:
+            raise ValueError(f"self-join has port 0 only, got {port}")
+        self._buffers[0].insert(segment, self._partition(segment, 0))
+        water = max(self._start_water[0], segment.t_start)
+        self._start_water = [water, water]
+        self._evict(segment)
+        pairs = []
+        for partner in self._partners(segment, 0):
+            if partner is segment:
+                continue
+            if len(partner.key) != len(segment.key):
+                # The mirror swaps a join key's halves, which needs
+                # one key length per stream.
+                raise PlanError(
+                    f"self-join pairs keys of different lengths: "
+                    f"{segment.key!r} and {partner.key!r}"
+                )
+            pairs.append((segment, partner))
+        return self._join_pairs(pairs)
+
+    @property
+    def state_size(self) -> int:
+        return len(self._buffers[0])

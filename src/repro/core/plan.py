@@ -86,6 +86,7 @@ class ContinuousPlan:
         self._nodes: dict[int, PlanNode] = {}
         self._sources: dict[str, int] = {}
         self._output_id: int | None = None
+        self._mirror_id: int | None = None
         self._next_id = 0
         self._observers: list[StepObserver] = []
 
@@ -124,8 +125,20 @@ class ContinuousPlan:
             )
         return NodeRef(node.node_id, self)
 
-    def set_output(self, ref: NodeRef) -> None:
+    def set_output(
+        self, ref: NodeRef, mirror: ContinuousOperator | None = None
+    ) -> None:
+        """Make ``ref`` the output node.
+
+        ``mirror`` is a swap-invariant self-join's output stage
+        (:class:`~repro.core.symmetry.MirrorTwins`): every :meth:`push`
+        then returns its results followed by each one's mirror twin, in
+        the same order — the results the join's second input would
+        have produced.
+        """
         self._output_id = ref.node_id
+        if mirror is not None:
+            self._mirror_id = self._new_node(mirror, mirror.name).node_id
 
     def _new_node(self, operator: ContinuousOperator | None, label: str) -> PlanNode:
         node = PlanNode(self._next_id, operator, label)
@@ -176,7 +189,22 @@ class ContinuousPlan:
             results.append(segment)
         initial = [(succ_id, port, segment) for succ_id, port in src.successors]
         self._cascade(initial, results)
+        if self._mirror_id is not None:
+            self._mirror(results)
         return results
+
+    def _mirror(self, results: list[Segment]) -> None:
+        """Append each result's mirror twin, in result order."""
+        node = self._nodes[self._mirror_id]
+        twins: list[Segment] = []
+        for out in results:
+            node.segments_in += 1
+            mirrored = node.operator.process(out)
+            node.segments_out += len(mirrored)
+            for observer in self._observers:
+                observer(node, out, mirrored)
+            twins.extend(mirrored)
+        results.extend(twins)
 
     def _cascade(
         self,

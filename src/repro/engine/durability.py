@@ -44,7 +44,10 @@ SNAPSHOT_MAGIC = b"PSNAPV01"
 #: Bumped whenever the pickled operator state changes layout: a file of
 #: another version is skipped like a damaged one, never unpickled.
 #: 2: ordered ``SegmentBuffer`` with partitions; sum/avg piece index.
-SNAPSHOT_VERSION = 2
+#: 3: a swap-invariant self-join pickles one buffer shared by both join
+#: sides, group-bys keep one state per mirror pair of groups (and carry
+#: a ``mirror``), and the plan has a mirror output stage.
+SNAPSHOT_VERSION = 3
 
 _SNAP_HEADER = struct.Struct("<IQQI")  # version, seq, payload len, crc32
 

@@ -8,7 +8,7 @@ shapes through both engines.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from ..core.errors import PlanError
 from .operators import (
@@ -42,6 +42,13 @@ class LoweredQuery:
         for source in sources:
             outputs.extend(self.plan.push(source, tup))
         return outputs
+
+    def renamed(self, stream_map: Mapping[str, str]) -> "LoweredQuery":
+        """This query fed from streams renamed by ``stream_map``."""
+        return LoweredQuery(
+            self.plan,
+            {stream_map[s]: src for s, src in self.stream_sources.items()},
+        )
 
     def flush(self) -> list[StreamTuple]:
         return self.plan.flush()

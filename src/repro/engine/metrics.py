@@ -31,8 +31,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 #: Default latency bucket upper bounds, in seconds.  A coarse log ladder
 #: from 10 microseconds (one cheap cached solve) to 10 seconds (a stuck
 #: drain round); observations beyond the last bound land in the implicit
-#: +Inf overflow bucket.  Fixed boundaries are what make histograms from
-#: different processes (shard workers, benchmark runs) merge exactly.
+#: +Inf overflow bucket.  Fixed boundaries make the snapshots of
+#: different runs (benchmark rounds, a before and an after) comparable
+#: bucket by bucket.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4,
@@ -103,15 +104,11 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket latency histogram with exact merging.
+    """A fixed-bucket latency histogram.
 
     Bucket boundaries are the *upper bounds* of each bucket (ascending),
     with an implicit +Inf overflow bucket at the end, mirroring the
-    Prometheus histogram model.  Because the boundaries are fixed at
-    construction, two histograms with the same boundaries merge by
-    adding their per-bucket counts — this is how shard workers ship
-    their solve timings home (one small snapshot per result payload)
-    and how benchmark runs aggregate across rounds.
+    Prometheus histogram model.
 
     ``observe`` is a single bisect plus three integer adds, cheap enough
     for per-solve instrumentation; the observability layer still guards
@@ -122,13 +119,12 @@ class Histogram:
     ``observe`` sits on the traced solve hot path and its three-field
     update would pay a lock per solve.  Instead every histogram has
     exactly one writer thread — the engine thread owns the ``runtime.*``
-    and ``solver.*`` histograms (shard workers ship *snapshots* home
-    and the parent merges them on the engine thread), and the network
-    server's event-loop thread owns the ``server.*`` histograms it
-    creates.  Cross-thread readers (``MetricsSnapshot.collect``) may
-    see a snapshot mid-update — one observation's count/sum skew, never
-    a torn bucket list.  Creating a histogram that two threads observe
-    is a bug; give each thread its own and merge.
+    and ``solver.*`` histograms, and the network server's event-loop
+    thread owns the ``server.*`` histograms it creates.  Cross-thread
+    readers (``MetricsSnapshot.collect``) may see a snapshot mid-update
+    — one observation's count/sum skew, never a torn bucket list.
+    Creating a histogram that two threads observe is a bug; give each
+    thread its own.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "count")
@@ -157,26 +153,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
-
-    def merge(self, other: "Histogram | Mapping") -> None:
-        """Fold another histogram (or its ``as_dict`` form) into this one.
-
-        Merging requires identical bucket boundaries — the snapshot a
-        worker ships is built from the same ``DEFAULT_LATENCY_BUCKETS``
-        module constant, so this holds by construction; a mismatch is a
-        programming error and raises.
-        """
-        if isinstance(other, Mapping):
-            other = Histogram.from_dict(self.name, other)
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.name!r}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.total += other.total
-        self.count += other.count
 
     @property
     def mean(self) -> float:
@@ -211,24 +187,13 @@ class Histogram:
         self.count = 0
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot (mergeable via :meth:`merge`)."""
+        """JSON-ready snapshot."""
         return {
             "bounds": list(self.bounds),
             "counts": list(self.counts),
             "sum": self.total,
             "count": self.count,
         }
-
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping) -> "Histogram":
-        hist = cls(name, data["bounds"])
-        counts = list(data["counts"])
-        if len(counts) != len(hist.counts):
-            raise ValueError(f"histogram {name!r}: malformed counts")
-        hist.counts = [int(c) for c in counts]
-        hist.total = float(data["sum"])
-        hist.count = int(data["count"])
-        return hist
 
 
 class CounterRegistry:

@@ -70,10 +70,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ..core.errors import PlanError, PulseError
-from ..core.transform import TransformedQuery, to_continuous_plan
+from ..core.transform import to_continuous_plan
 from ..engine import tracing
 from ..engine.durability import Durability
-from ..engine.lowering import LoweredQuery, to_discrete_plan
+from ..engine.lowering import to_discrete_plan
 from ..engine.metrics import get_counter, get_gauge, get_histogram
 from ..engine.scheduler import QueryRuntime
 from ..engine.tuples import StreamTuple
@@ -569,19 +569,7 @@ class EngineBridge:
             runtime_name = f"{entry.name}~d"
             compiled = to_discrete_plan(entry.planned)
         stream_map = {s: f"{runtime_name}/{s}" for s in streams}
-        namespaced_sources = {
-            stream_map[s]: compiled.stream_sources[s] for s in streams
-        }
-        if mode == "continuous":
-            namespaced = TransformedQuery(
-                compiled.plan,
-                namespaced_sources,
-                sample_period=compiled.sample_period,
-                inferred_period=compiled.inferred_period,
-                error_bound=compiled.error_bound,
-            )
-        else:
-            namespaced = LoweredQuery(compiled.plan, namespaced_sources)
+        namespaced = compiled.renamed(stream_map)
         graph = _SharedGraph(
             runtime_name=runtime_name,
             entry=entry,

@@ -359,7 +359,7 @@ class TestSnapshots:
         monkeypatch.setattr(durability, "SNAPSHOT_VERSION", 1)
         stale = write_snapshot(tmp_path, 9, _ExplodesOnUnpickle())
         monkeypatch.undo()
-        assert durability.SNAPSHOT_VERSION == 2
+        assert durability.SNAPSHOT_VERSION == 3
         with pytest.raises(SnapshotError, match="version 1"):
             read_snapshot(stale)
         seq, state, _ = load_latest_snapshot(tmp_path)
@@ -472,6 +472,41 @@ def make_macd_trace(n=150, seed=5):
     return out
 
 
+FOLLOWING_SQL = """
+select id1, id2, avg(dist) as avg_dist from
+    (select S1.id as id1, S2.id as id2,
+            sqrt(pow(S1.x - S2.x, 2) + pow(S1.y - S2.y, 2)) as dist
+     from vessels [size 2 advance 1] as S1
+     join vessels as S2 [size 2 advance 1]
+     on (S1.id <> S2.id)) [size 6 advance 1] as Candidates
+group by id1, id2 having avg(dist) < 40
+"""
+
+
+def make_vessel_trace(n=120, seed=7):
+    """Four vessels, two pairs of them close, each a gapless run of
+    short linear tracks."""
+    rng = random.Random(seed)
+    ends = [0.0] * 4
+    out = []
+    for i in range(n):
+        k = i % 4
+        lo, hi = ends[k], ends[k] + rng.uniform(0.5, 1.2)
+        ends[k] = hi
+        x0 = 100.0 * (k // 2) + 10.0 * (k % 2) + rng.uniform(-3, 3)
+        y0 = rng.uniform(-3, 3)
+        vx, vy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        out.append(
+            Segment(
+                (f"v{k}",), lo, hi,
+                {"x": Polynomial([x0 - vx * lo, vx]),
+                 "y": Polynomial([y0 - vy * lo, vy])},
+                constants={"id": f"v{k}"},
+            )
+        )
+    return out
+
+
 def _assert_macd_state_is_warm(query):
     """Both windows have emitted and hold several pieces, and the join
     holds partitioned state: the snapshot carries every new container."""
@@ -541,6 +576,38 @@ class TestRuntimeRecovery:
             at_checkpoint=lambda qs: _assert_macd_state_is_warm(qs["macd"]),
         )
         assert len(outputs["macd"]) > 10
+
+    def test_crash_replay_of_a_rewritten_self_join_is_bit_exact(
+        self, tmp_path
+    ):
+        """The "following" shape runs as one buffer, group states shared
+        by mirror groups and a mirror output stage: the checkpoint lands
+        with all of them populated, and the reborn runtime emits the
+        never-died reference's rows, twins included."""
+        from repro.core.operators import ContinuousGroupBy, SymmetricSelfJoin
+
+        def queries():
+            return {
+                "follow": to_continuous_plan(
+                    plan_query(parse_query(FOLLOWING_SQL))
+                )
+            }
+
+        def warm(qs):
+            ops = qs["follow"].plan.operators()
+            (join,) = [op for op in ops if isinstance(op, SymmetricSelfJoin)]
+            (groups,) = [op for op in ops if isinstance(op, ContinuousGroupBy)]
+            assert join.state_size > 4
+            # Four vessels: six unordered pairs, one state each.
+            assert groups.group_count == 6
+
+        outputs = self._crash_replay(
+            tmp_path, queries, make_vessel_trace(), "vessels",
+            checkpoint_at=60, crash_at=90, at_checkpoint=warm,
+        )
+        keys = {r.key for r in outputs["follow"]}
+        assert {("v0", "v1"), ("v2", "v3")} <= keys
+        assert {key[::-1] for key in keys} == keys
 
     def test_snapshot_of_another_layout_is_passed_over_on_restore(
         self, tmp_path, monkeypatch

@@ -5,7 +5,8 @@
 prefix of each continuous workload's input (both modules imported
 read-only) so that what the benchmark cannot see from outside is
 asserted in tier-1: no sum/avg window-function piece is lost to a
-sub-EPS hole between cumulative pieces.
+sub-EPS hole between cumulative pieces, and two workloads' answers are
+pinned as digests.
 
 Two input-side defects of the paper's contract (the continuous answer
 covers what the discrete answer covers, within the bound) are pinned
@@ -46,16 +47,50 @@ def e2e():
             sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("name", sorted(PREFIX))
-def test_reference_run_skips_no_window_function(e2e, name):
+#: ``result_digest`` of those reference runs (seed 11, flush included),
+#: recorded before the symmetric self-join rewrite, which must change no
+#: answer: ``following_churn`` is the rewritten self-join, ``macd_churn``
+#: a self-join of another shape that the rewrite leaves alone.
+DIGESTS = {
+    "following_churn":
+        "559c45d292d96f2b414ff7af40f46c5ae2924b77339d515445dc9a78ef5658d1",
+    "macd_churn":
+        "aa2176960b8613c78f85ed48ebcb33a35c7fe813ef89e96140e1372fc685a6d6",
+}
+
+
+@pytest.fixture(scope="module")
+def reference_runs(e2e):
+    """name -> (reference rows, windows skipped), each run once."""
     reference, workloads = e2e
-    workload = workloads.WORKLOADS[name]
-    assert workload.mode == "continuous"
-    tuples, _ = workload.generate(11, PREFIX[name])
-    reset_counters()
-    rows, _ = reference.reference_results(workload, tuples, flush=True)
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            workload = workloads.WORKLOADS[name]
+            assert workload.mode == "continuous"
+            tuples, _ = workload.generate(11, PREFIX[name])
+            reset_counters()
+            rows, _ = reference.reference_results(workload, tuples, flush=True)
+            skipped = counter_snapshot().get("aggregate.windows_skipped", 0)
+            runs[name] = (rows, skipped)
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX))
+def test_reference_run_skips_no_window_function(reference_runs, name):
+    rows, skipped = reference_runs(name)
     assert rows
-    assert counter_snapshot().get("aggregate.windows_skipped", 0) == 0
+    assert skipped == 0
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_reference_answers_are_pinned(e2e, reference_runs, name):
+    reference, _ = e2e
+    rows, _ = reference_runs(name)
+    assert reference.result_digest(rows) == DIGESTS[name]
 
 
 @pytest.mark.xfail(

@@ -17,6 +17,8 @@ from repro.engine.lowering import to_discrete_plan
 from repro.fitting import build_segments
 from repro.query import parse_query, plan_query
 from repro.workloads import (
+    AisConfig,
+    AisVesselGenerator,
     MovingObjectConfig,
     MovingObjectGenerator,
     NyseConfig,
@@ -97,27 +99,34 @@ class TestFilterQuery:
 
 
 class TestProximityJoinQuery:
+    """A symmetric self-join (the rewrite computes each pair once and
+    mirrors it) against the discrete nested-loop join, on a trace with
+    two injected follower pairs sailing 50 m apart, well inside the
+    query's 100 m."""
+
     SQL = """
     select from objects R join objects S on (R.id <> S.id)
     where pow(R.x - S.x, 2) + pow(R.y - S.y, 2) < 10000
     """
 
-    def test_join_detects_proximity_on_both_paths(self):
-        gen = MovingObjectGenerator(
-            MovingObjectConfig(
-                num_objects=4, rate=400.0, tuples_per_segment=50, speed=30.0
-            )
+    @pytest.fixture(scope="class")
+    def runs(self):
+        gen = AisVesselGenerator(
+            AisConfig(num_vessels=4, follower_pairs=2, rate=40.0,
+                      follow_distance=50.0, course_period=30.0, seed=7)
         )
-        tuples = list(gen.tuples(2000))
+        tuples = list(gen.tuples(800))  # 20 seconds
         planned = plan_query(parse_query(self.SQL))
-
         discrete_out = run_discrete(planned, "objects", tuples)
         segments = build_segments(
-            tuples, attrs=("x", "y"), tolerance=1e-6,
+            tuples, attrs=("x", "y"), tolerance=0.5,
             key_fields=("id",), constants=("id",),
         )
         continuous_out = run_continuous(planned, "objects", segments)
+        return gen, discrete_out, continuous_out
 
+    def test_join_detects_proximity_on_both_paths(self, runs):
+        gen, discrete_out, continuous_out = runs
         discrete_pairs = {
             frozenset((t["r.id"], t["s.id"])) for t in discrete_out
         }
@@ -127,23 +136,14 @@ class TestProximityJoinQuery:
             )
             for seg in continuous_out
         }
-        # Both paths must find the same close-encounter pairs.
+        # Both paths must find the same close-encounter pairs: the
+        # injected ones.
         assert discrete_pairs == continuous_pairs
+        assert continuous_pairs == {frozenset(p) for p in gen.follower_pairs}
 
-    def test_continuous_ranges_cover_discrete_hits(self):
-        gen = MovingObjectGenerator(
-            MovingObjectConfig(
-                num_objects=4, rate=400.0, tuples_per_segment=50, speed=30.0
-            )
-        )
-        tuples = list(gen.tuples(2000))
-        planned = plan_query(parse_query(self.SQL))
-        discrete_out = run_discrete(planned, "objects", tuples)
-        segments = build_segments(
-            tuples, attrs=("x", "y"), tolerance=1e-6,
-            key_fields=("id",), constants=("id",),
-        )
-        continuous_out = run_continuous(planned, "objects", segments)
+    def test_continuous_ranges_cover_discrete_hits(self, runs):
+        _, discrete_out, continuous_out = runs
+        assert discrete_out and continuous_out
         covered = 0
         for hit in discrete_out:
             pair = frozenset((hit["r.id"], hit["s.id"]))
@@ -155,8 +155,7 @@ class TestProximityJoinQuery:
                 if seg_pair == pair and seg.t_start - 0.02 <= t <= seg.t_end + 0.02:
                     covered += 1
                     break
-        if discrete_out:
-            assert covered / len(discrete_out) > 0.95
+        assert covered / len(discrete_out) > 0.95
 
 
 class TestMacdQuery:
