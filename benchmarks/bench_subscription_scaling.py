@@ -42,7 +42,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from harness import record_result  # noqa: E402
 
-from repro.core.solve_cache import reset_global_solve_cache  # noqa: E402
 from repro.core.transform import to_continuous_plan  # noqa: E402
 from repro.engine.metrics import get_counter, reset_counters  # noqa: E402
 from repro.engine.scheduler import QueryRuntime  # noqa: E402
@@ -109,7 +108,6 @@ def canon(outputs) -> list:
 
 
 def _reset() -> None:
-    reset_global_solve_cache()
     reset_counters()
 
 

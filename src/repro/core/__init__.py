@@ -17,7 +17,6 @@ from .polynomial import Polynomial
 from .predicate import And, BoolExpr, Comparison, Not, Or, normalize
 from .relation import Rel
 from .segment import Segment, SegmentBuffer
-from .solve_cache import SolveCache, global_solve_cache, reset_global_solve_cache
 from .transform import TransformedQuery, to_continuous_plan
 
 __all__ = [
@@ -26,8 +25,7 @@ __all__ = [
     "HistoricalProcessor", "Interval", "Mul", "Neg", "Not", "Or", "Piece",
     "PiecewiseFunction", "Polynomial", "Pow", "PredictiveProcessor",
     "PredictiveStats", "PulseError", "Rel", "Segment", "SegmentBuffer",
-    "SolveCache", "SolverConfig", "Sqrt", "Sub", "TimeSet",
-    "TransformedQuery", "global_solve_cache", "lower_envelope", "normalize",
-    "reset_global_solve_cache", "solve_systems_batch", "solver_config",
+    "SolverConfig", "Sqrt", "Sub", "TimeSet", "TransformedQuery",
+    "lower_envelope", "normalize", "solve_systems_batch", "solver_config",
     "to_continuous_plan", "upper_envelope",
 ]

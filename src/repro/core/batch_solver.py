@@ -68,10 +68,6 @@ class SolverConfig:
 
     Attributes
     ----------
-    cache_size:
-        Bound on entries of the global
-        :class:`~repro.core.solve_cache.SolveCache` (LRU eviction
-        beyond it).
     max_rows_per_system:
         Guardrail budget: a single system presenting more difference
         rows than this fails with a typed ``"row-budget"``
@@ -81,7 +77,6 @@ class SolverConfig:
         bound); beyond it the row fails with ``"root-budget"``.
     """
 
-    cache_size: int = 4096
     max_rows_per_system: int = 256
     max_roots_per_row: int = 64
 
@@ -97,10 +92,10 @@ def solver_config() -> SolverConfig:
 # ----------------------------------------------------------------------
 # fault injection hook
 # ----------------------------------------------------------------------
-#: A fault hook sees every solve task about to run (cache misses only)
-#: and may raise a :class:`SolverError` to fail it or return a
-#: replacement task (e.g. with NaN coefficients) to corrupt it.  ``None``
-#: passes the task through untouched.  Installed by the fault-injection
+#: A fault hook sees every solve task about to run and may raise a
+#: :class:`SolverError` to fail it or return a replacement task (e.g.
+#: with NaN coefficients) to corrupt it.  ``None`` passes the task
+#: through untouched.  Installed by the fault-injection
 #: harness (:mod:`repro.testing.faults`); never set in production.
 FaultHook = Callable[[SolveTask], "SolveTask | None"]
 
@@ -638,19 +633,19 @@ def solve_relation_batch(
 
 
 # ----------------------------------------------------------------------
-# cached entry points
+# entry point
 # ----------------------------------------------------------------------
 def solve_tasks(
     tasks: Sequence[SolveTask],
     failures: dict[int, SolverError] | None = None,
 ) -> list[TimeSet]:
-    """Solve many difference rows, consulting the cache and the kernel.
+    """Solve many difference rows in one kernel sweep.
 
-    This is the single funnel every row solve goes through: cache lookup
-    first, then the batched kernel for the misses, then cache fill.
-    Failed tasks are never cached; with a ``failures`` dict, their typed
-    errors are recorded per task index (result slot ``TimeSet.empty()``)
-    instead of raised.
+    This is the single funnel every row solve goes through: the fault
+    hook (if any) sees each task, then the batched kernel solves the
+    rest.  With a ``failures`` dict, a failed task's typed error is
+    recorded under its index (result slot ``TimeSet.empty()``) instead
+    of raised.
     """
     hook = _SPAN_SOLVE_TASKS
     if hook is None:
@@ -663,66 +658,27 @@ def _solve_tasks_impl(
     tasks: Sequence[SolveTask],
     failures: dict[int, SolverError] | None = None,
 ) -> list[TimeSet]:
-    from .solve_cache import global_solve_cache
-
-    cache = global_solve_cache()
-    results: list[TimeSet | None] = [None] * len(tasks)
-    miss_indices: list[int] = []
-    keys: list[object] = []
-    aliases: list[tuple[int, int]] = []  # (result index, miss slot)
-    slot_of_key: dict[object, int] = {}
+    hook = _FAULT_HOOK
+    if hook is None:
+        return solve_relation_batch(tasks, failures=failures)
+    hooked: dict[int, SolveTask] = {}
     for i, task in enumerate(tasks):
-        key = cache.key(*task)
-        if key in slot_of_key:
-            # Duplicate of an in-flight miss: served from this very
-            # batch's fill, so it counts as a hit.
-            cache._hits_counter.bump()
-            aliases.append((i, slot_of_key[key]))
+        try:
+            replacement = hook(task)
+        except SolverError as exc:
+            if failures is None:
+                raise
+            failures[i] = exc
             continue
-        hit = cache.get(key)
-        if hit is not None:
-            results[i] = hit
-        else:
-            slot_of_key[key] = len(miss_indices)
-            miss_indices.append(i)
-            keys.append(key)
-
-    miss_failures: dict[int, SolverError] = {}
-    if miss_indices:
-        pending = [tasks[i] for i in miss_indices]
-        hook = _FAULT_HOOK
-        if hook is not None:
-            hooked: list[SolveTask] = []
-            for slot, task in enumerate(pending):
-                try:
-                    replacement = hook(task)
-                except SolverError as exc:
-                    if failures is None:
-                        raise
-                    miss_failures[slot] = exc
-                    replacement = None
-                hooked.append(task if replacement is None else replacement)
-            pending = hooked
-        live = [s for s in range(len(pending)) if s not in miss_failures]
-        live_failures: dict[int, SolverError] | None = (
-            None if failures is None else {}
-        )
-        solved_live = solve_relation_batch(
-            [pending[s] for s in live], failures=live_failures
-        )
-        solved = dict(zip(live, solved_live))
-        if live_failures:
-            for k, exc in live_failures.items():
-                miss_failures[live[k]] = exc
-        for slot, i in enumerate(miss_indices):
-            if slot in miss_failures:
-                failures[i] = miss_failures[slot]  # type: ignore[index]
-                results[i] = TimeSet.empty()
-                continue
-            results[i] = solved[slot]
-            cache.put(keys[slot], solved[slot])
-    for i, slot in aliases:
-        if slot in miss_failures and failures is not None:
-            failures[i] = miss_failures[slot]
-        results[i] = results[miss_indices[slot]]
-    return results  # type: ignore[return-value]
+        hooked[i] = task if replacement is None else replacement
+    live = list(hooked)
+    live_failures: dict[int, SolverError] | None = (
+        None if failures is None else {}
+    )
+    solved = solve_relation_batch(list(hooked.values()), live_failures)
+    results = [TimeSet.empty()] * len(tasks)
+    for k, i in enumerate(live):
+        results[i] = solved[k]
+    for k, exc in (live_failures or {}).items():
+        failures[live[k]] = exc  # type: ignore[index]
+    return results

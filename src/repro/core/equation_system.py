@@ -88,7 +88,7 @@ def row_solve_counter():
     """The global row-solve counter (``equation_system.row_solves``).
 
     Lives in the :mod:`repro.engine.metrics` registry so benchmarks and
-    the solve cache share one resettable stats surface; fetched lazily
+    the fold memo share one resettable stats surface; fetched lazily
     to keep ``repro.core`` importable on its own.  The handle is bound
     on first use and reused: ``reset_counters`` zeroes counters in
     place without replacing them, so per-solve registry lookups would
@@ -156,7 +156,7 @@ class EquationSystem:
 
     Row solves are counted in the ``equation_system.row_solves`` counter
     of :mod:`repro.engine.metrics` (the old mutable ``solve_counter``
-    class attribute, made resettable and shared with the cache stats).
+    class attribute, made resettable and shared with the memo stats).
     """
 
     def __init__(
@@ -265,8 +265,8 @@ class EquationSystem:
         """Solve the system over the half-open domain ``[lo, hi)``.
 
         Uses the equality fast path for all-equality conjunctions; every
-        other system solves all its rows in one cached batch (one
-        kernel sweep) and combines them through the boolean structure.
+        other system solves all its rows in one batch (one kernel
+        sweep) and combines them through the boolean structure.
 
         Guardrail contract: every failure escapes as a typed
         :class:`SolverError` (usually a :class:`SolverFailure` with a
@@ -307,7 +307,7 @@ class EquationSystem:
             )
 
     def solve_rows(self, lo: float, hi: float) -> list[TimeSet]:
-        """Solve every row over ``[lo, hi)`` in one cached batch."""
+        """Solve every row over ``[lo, hi)`` in one batch."""
         row_solve_counter().bump(len(self.rows))
         return solve_tasks([(r.poly, r.rel, lo, hi) for r in self.rows])
 
@@ -474,8 +474,8 @@ def solve_systems_batch(
 
     ``jobs`` holds ``(system, lo, hi)`` triples — e.g. every candidate
     pair produced by one join probe.  All rows of all general systems
-    are pooled into a single :func:`solve_tasks` call (one cache pass,
-    one degree-bucketed eigensolve); equality fast-path systems keep
+    are pooled into a single :func:`solve_tasks` call (one
+    degree-bucketed eigensolve); equality fast-path systems keep
     their own pre-analysis.
 
     With a ``failures`` dict, a failing system records its typed error

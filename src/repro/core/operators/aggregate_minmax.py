@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from ..delta import SolutionStore
 from ..errors import UnsupportedAggregateError
 from ..intervals import EPS, TimeSet
 from ..piecewise import PiecewiseFunction
@@ -75,11 +74,6 @@ class ContinuousExtremumAggregate(ContinuousOperator):
         self._high_water = -math.inf
         #: Count of equation systems instantiated (benchmark hook).
         self.systems_solved = 0
-        # Per-piece relation solutions keyed by the difference
-        # polynomial's coefficients and the relation: a re-confirmed
-        # model compared against an unchanged envelope piece is a
-        # covered probe served without re-solving.
-        self._solution_store = SolutionStore()
 
     @property
     def envelope(self) -> PiecewiseFunction:
@@ -89,7 +83,6 @@ class ContinuousExtremumAggregate(ContinuousOperator):
     def reset(self) -> None:
         self._envelope = PiecewiseFunction.empty()
         self._high_water = -math.inf
-        self._solution_store.clear()
 
     # ------------------------------------------------------------------
     # segment processing
@@ -135,15 +128,10 @@ class ContinuousExtremumAggregate(ContinuousOperator):
             covered_any = covered_any | TimeSet.interval(a, b)
             # One row of the system: x(t) - s(t) R 0 against this state
             # piece, solved over the common valid range.
-            diff = poly - piece.poly
-            sig = (diff.coeffs, rel)
-            found = self._solution_store.lookup(sig, a, b)
-            solution = None if found is None else found[1]
-            if solution is None:
-                self.systems_solved += 1
-                solution = solve_relation(diff, rel, a, b)
-                self._solution_store.store(sig, None, (a, b, solution))
-            covered_new = covered_new | solution
+            self.systems_solved += 1
+            covered_new = covered_new | solve_relation(
+                poly - piece.poly, rel, a, b
+            )
         if lo >= hi:
             return TimeSet.empty()
         gaps = covered_any.complement(TimeSet.interval(lo, hi).intervals[0])

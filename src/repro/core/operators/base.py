@@ -7,9 +7,8 @@ executor routes between.
 
 Three pieces live here because every selective operator needs them:
 
-* :class:`SelectiveOperator` owns the two memo objects of a predicate
-  -carrying operator (fold memo, solution store) and the one probe path
-  through them;
+* :class:`SelectiveOperator` owns the fold memo of a predicate-carrying
+  operator and the one probe path through it;
 * :class:`AttributeBinding` maps predicate attribute names (possibly
   alias-qualified) onto the polynomial models of one or more aligned
   segments, turning numeric unmodeled constants into constant polynomials;
@@ -23,13 +22,12 @@ Three pieces live here because every selective operator needs them:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from ..delta import LruMemo, SolutionStore
+from ..delta import LruMemo
 from ..equation_system import EquationSystem
 from ..errors import PredicateError
 from ..expr import ModelResolver
-from ..intervals import TimeSet
 from ..polynomial import Polynomial
 from ..predicate import (
     And,
@@ -87,17 +85,14 @@ class ContinuousOperator:
 
 
 class SelectiveOperator(ContinuousOperator):
-    """A predicate-carrying operator and the two things it remembers.
+    """A predicate-carrying operator and the one thing it remembers.
 
-    * ``_fold_memo`` — discrete signature -> folded residual.  The fold
-      reads only discrete values and name-resolution structure, so one
-      entry serves every alignment with those constants (an equi-key
-      join's cross-key pairs never get here: it partitions its buffers).
-    * ``_solution_store`` — content signature -> compiled system plus
-      widest solved domain (see :class:`~repro.core.delta.SolutionStore`).
-
-    :meth:`_probe` is the single path through both: at most one lookup
-    in each per probe, shared by ``process`` and slack validation.
+    ``_fold_memo`` maps a discrete signature to the folded residual.
+    The fold reads only discrete values and name-resolution structure,
+    so one entry serves every alignment with those constants (an
+    equi-key join's cross-key pairs never get here: it partitions its
+    buffers).  :meth:`_probe` is the single path through it, shared by
+    ``process`` and slack validation.
     """
 
     def __init__(self, predicate: BoolExpr):
@@ -105,28 +100,18 @@ class SelectiveOperator(ContinuousOperator):
         #: Count of equation systems solved (benchmark hook).
         self.systems_solved = 0
         self._fold_memo = LruMemo(4096, "memo.fold")
-        self._solution_store = SolutionStore()
 
     def reset(self) -> None:
         self._fold_memo.clear()
-        self._solution_store.clear()
 
     def _probe(
-        self,
-        aligned: Mapping[str | None, Segment],
-        fold_sig,
-        content_sig,
-        lo: float,
-        hi: float,
-    ) -> tuple[BoolExpr, EquationSystem | None, TimeSet | None]:
-        """Fold, compile and recall ``predicate`` over ``aligned``.
+        self, aligned: Mapping[str | None, Segment], fold_sig
+    ) -> tuple[BoolExpr, EquationSystem | None]:
+        """Fold and compile ``predicate`` over ``aligned``.
 
-        Returns ``(residual, system, solution)``: ``system`` is ``None``
-        iff the residual folded to a literal; ``solution`` is the
-        remembered answer over ``[lo, hi)`` or ``None`` when the caller
-        has to solve ``system`` (and should store a successful result).
-        The signatures are the aligned segments' ``fold_sig`` /
-        ``content_sig`` (``None`` = unhashable content, never memoized).
+        Returns ``(residual, system)``: ``system`` is ``None`` iff the
+        residual folded to a literal.  ``fold_sig`` is the aligned
+        segments' ``fold_sig`` (``None`` = unhashable, never memoized).
         """
         binding = None
         residual = None
@@ -138,15 +123,12 @@ class SelectiveOperator(ContinuousOperator):
             if fold_sig is not None:
                 self._fold_memo.put(fold_sig, residual)
         if isinstance(residual, Literal):
-            return residual, None, None
-        found = self._solution_store.lookup(content_sig, lo, hi)
-        if found is not None:
-            return residual, found[0], found[1]
+            return residual, None
         if binding is None:
             binding = AttributeBinding(aligned)
-        system = EquationSystem.from_predicate(residual, binding.resolver())
-        self._solution_store.store(content_sig, system)
-        return residual, system, None
+        return residual, EquationSystem.from_predicate(
+            residual, binding.resolver()
+        )
 
 
 class AttributeBinding:

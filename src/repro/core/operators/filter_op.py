@@ -41,13 +41,7 @@ class ContinuousFilter(SelectiveOperator):
         self.name = name
 
     def _probe_segment(self, segment: Segment):
-        return self._probe(
-            {self.alias: segment},
-            segment.fold_sig,
-            segment.content_sig,
-            segment.t_start,
-            segment.t_end,
-        )
+        return self._probe({self.alias: segment}, segment.fold_sig)
 
     def process(self, segment: Segment, port: int = 0) -> list[Segment]:
         return next(self.process_run((segment,), port))
@@ -57,73 +51,36 @@ class ContinuousFilter(SelectiveOperator):
     ) -> Iterator[list[Segment]]:
         """Filter a run of inputs with one pooled kernel sweep.
 
-        Probes every input once, solves every system the solution store
-        does not answer in one :func:`solve_systems_batch` call, then
-        stores and emits per input, in input order.  What the store
-        holds and ``systems_solved`` counts end where one ``process``
-        call per input leaves them:
-
-        * an input repeating the content of an earlier input whose solve
-          is still pending is probed only once that solve is stored, as
-          it would be one at a time — usually a store hit; if not, it
-          solves on its own;
-        * every input touches its store entry again in input order, so
-          the store's recency order, which decides its evictions, is the
-          one-at-a-time order too;
-        * a failure (a probe that raises, a system whose solve fails)
-          surfaces at its own input, after the inputs before it were
-          stored and yielded; no input behind it is counted or has its
-          solution stored (their systems stay compiled in the store).
+        Probes every input once, solves every compiled system in one
+        :func:`solve_systems_batch` call, then emits per input, in
+        input order.  A failure (a probe that raises, a system whose
+        solve fails) surfaces at its own input, after the inputs before
+        it were yielded; no input behind it is counted.
         """
-        steps: list[tuple | None] = []  # None: probed when its turn comes
+        steps: list[tuple] = []  # (residual, job index or None)
         jobs: list[tuple[EquationSystem, float, float]] = []
-        waiting: set = set()  # content sigs of this run's pending jobs
         probe_error: Exception | None = None
         for segment in segments:
-            sig = segment.content_sig
-            if sig is not None and sig in waiting:
-                steps.append(None)
-                continue
             try:
-                residual, system, solution = self._probe_segment(segment)
+                residual, system = self._probe_segment(segment)
             except Exception as exc:
                 probe_error = exc
                 break
             job = None
-            if system is not None and solution is None:
+            if system is not None:
                 job = len(jobs)
                 jobs.append((system, segment.t_start, segment.t_end))
-                if sig is not None:
-                    waiting.add(sig)
-            steps.append((residual, system, solution, job))
+            steps.append((residual, job))
         failures: dict[int, SolverError] = {}
         solved = solve_systems_batch(jobs, failures) if jobs else []
-        for segment, step in zip(segments, steps):
-            if step is None:
-                residual, system, solution = self._probe_segment(segment)
-                if system is not None and solution is None:
-                    self.systems_solved += 1
-                    solution = solve_systems_batch(
-                        [(system, segment.t_start, segment.t_end)]
-                    )[0]
-            else:
-                residual, system, solution, job = step
-                if job is not None:
-                    self.systems_solved += 1
-                    if job in failures:
-                        raise failures[job]
-                    solution = solved[job]
-            if system is None:
+        for segment, (residual, job) in zip(segments, steps):
+            if job is None:
                 yield [segment] if residual.value else []
                 continue
-            # Successful solves only: a raising system never lands
-            # here, so faulted content re-fails on every probe.  For a
-            # stored answer this only refreshes the entry's recency.
-            self._solution_store.store(
-                segment.content_sig,
-                system,
-                (segment.t_start, segment.t_end, solution),
-            )
+            self.systems_solved += 1
+            if job in failures:
+                raise failures[job]
+            solution = solved[job]
             outputs = [
                 segment.restrict(iv.lo, iv.hi) for iv in solution.intervals
             ]

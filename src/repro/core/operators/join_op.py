@@ -138,8 +138,8 @@ class ContinuousJoin(SelectiveOperator):
         self._evict(segment)
 
         # Batch across every candidate pair this probe produced: the
-        # pairs' difference rows share one kernel sweep and one cache
-        # pass instead of a solver round-trip per partner.
+        # pairs' difference rows share one kernel sweep instead of a
+        # solver round-trip per partner.
         return self._join_pairs(
             [
                 (segment, partner) if port == 0 else (partner, segment)
@@ -186,69 +186,39 @@ class ContinuousJoin(SelectiveOperator):
             )
         )
 
-    def _probe_pair(
-        self, left: Segment, right: Segment, lo: float, hi: float
-    ):
-        """:meth:`_probe` for an aligned pair over its overlap."""
-        return self._probe(
-            {self.left_alias: left, self.right_alias: right},
-            _pair_sig(left.fold_sig, right.fold_sig),
-            _pair_sig(left.content_sig, right.content_sig),
-            lo,
-            hi,
-        )
-
     def _join_pairs(
         self, pairs: list[tuple[Segment, Segment]]
     ) -> list[Segment]:
-        """Join many aligned pairs, solving their systems in one batch.
-
-        A pair whose content and overlap the solution store already
-        answers emits from the stored ``TimeSet`` without entering the
-        solve batch; every freshly solved pair is stored for the next
-        probe of the same content.
-        """
+        """Join many aligned pairs, solving their systems in one batch."""
         jobs: list[tuple[EquationSystem, float, float]] = []
         outputs: list[Segment] = []
-        # (kind, left, right, lo, hi, payload): "whole" emits the
-        # overlap itself, "stored" carries its TimeSet, "solved" the
-        # index of its job in the batch.
+        # (left, right, lo, hi, job): job None emits the overlap
+        # itself, else the index of the pair's job in the batch.
         emit_plan: list[tuple] = []
         for left, right in pairs:
             overlap = left.overlap_range(right)
             if overlap is None:
                 continue
             lo, hi = overlap
-            residual, system, solution = self._probe_pair(left, right, lo, hi)
+            residual, system = self._probe(
+                {self.left_alias: left, self.right_alias: right},
+                _pair_sig(left.fold_sig, right.fold_sig),
+            )
             if system is None:
                 if not residual.value:
                     self.pairs_rejected_discrete += 1
                     continue
-                emit_plan.append(("whole", left, right, lo, hi, None))
-            elif solution is not None:
-                emit_plan.append(("stored", left, right, lo, hi, solution))
+                emit_plan.append((left, right, lo, hi, None))
             else:
                 self.systems_solved += 1
                 jobs.append((system, lo, hi))
-                emit_plan.append(
-                    ("solved", left, right, lo, hi, len(jobs) - 1)
-                )
+                emit_plan.append((left, right, lo, hi, len(jobs) - 1))
         solutions = solve_systems_batch(jobs) if jobs else []
-        for kind, left, right, lo, hi, payload in emit_plan:
-            if kind == "whole":
+        for left, right, lo, hi, job in emit_plan:
+            if job is None:
                 outputs.append(self._emit(left, right, lo, hi))
                 continue
-            solution = payload
-            if kind == "solved":
-                # A raising batch never reaches here, so only
-                # successful solves are stored: faulted pairs re-fail
-                # on every probe.
-                solution = solutions[payload]
-                self._solution_store.store(
-                    _pair_sig(left.content_sig, right.content_sig),
-                    jobs[payload][0],
-                    (lo, hi, solution),
-                )
+            solution = solutions[job]
             for iv in solution.intervals:
                 outputs.append(self._emit(left, right, iv.lo, iv.hi))
             for p in solution.points:

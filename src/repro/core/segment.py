@@ -75,7 +75,7 @@ class Segment:
 
     __slots__ = (
         "key", "t_start", "t_end", "models", "constants", "seg_id", "lineage",
-        "_content_sig", "_fold_sig",
+        "_fold_sig",
     )
 
     def __init__(
@@ -118,7 +118,7 @@ class Segment:
         mapping proxies.  Durability snapshots round-trip segments
         through here; ``seg_id`` is preserved so lineage stays valid
         across a restore (see :func:`ensure_segment_ids_above`).  The
-        content signatures are derived and recomputed on demand."""
+        fold signature is derived and recomputed on demand."""
         return (
             Segment,
             (
@@ -133,7 +133,7 @@ class Segment:
         )
 
     # ------------------------------------------------------------------
-    # content signatures (memo keys of the selective operators)
+    # fold signature (memo key of the selective operators)
     # ------------------------------------------------------------------
     @property
     def fold_sig(self) -> tuple | None:
@@ -149,24 +149,6 @@ class Segment:
         except AttributeError:
             sig = self._signature(tuple(sorted(self.models)))
             object.__setattr__(self, "_fold_sig", sig)
-            return sig
-
-    @property
-    def content_sig(self) -> tuple | None:
-        """Full content key: constants plus model coefficients.
-
-        Everything a compiled equation system and its solution depend
-        on except the time domain, so restricted copies (which keep
-        their originals' models) share a key and a refit never does.
-        ``None`` when a constant is unhashable.
-        """
-        try:
-            return self._content_sig
-        except AttributeError:
-            sig = self._signature(
-                tuple(sorted((a, p.coeffs) for a, p in self.models.items()))
-            )
-            object.__setattr__(self, "_content_sig", sig)
             return sig
 
     def _signature(self, models_part: tuple) -> tuple | None:

@@ -4,8 +4,8 @@ A checkpoint is one file written atomically (write temp → flush →
 fsync → rename) carrying a versioned, CRC-guarded pickle of the
 engine's *incrementally-maintained* state: fitted segments sitting in
 operator buffers, scheduler queues, circuit-breaker health, and the
-segment-id watermark.  Derived caches (solve cache, signature memos)
-are deliberately *not* checkpointed — they repopulate during replay,
+segment-id watermark.  Derived values (segment signatures) are
+deliberately *not* checkpointed — they repopulate during replay,
 and persisting them would only widen the surface a corrupt file can
 poison.
 
@@ -47,7 +47,9 @@ SNAPSHOT_MAGIC = b"PSNAPV01"
 #: 3: a swap-invariant self-join pickles one buffer shared by both join
 #: sides, group-bys keep one state per mirror pair of groups (and carry
 #: a ``mirror``), and the plan has a mirror output stage.
-SNAPSHOT_VERSION = 3
+#: 4: selective operators and min/max aggregates lose their solution
+#: store, a class of :mod:`repro.core.delta` that no longer exists.
+SNAPSHOT_VERSION = 4
 
 _SNAP_HEADER = struct.Struct("<IQQI")  # version, seq, payload len, crc32
 

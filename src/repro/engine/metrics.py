@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 #: Default latency bucket upper bounds, in seconds.  A coarse log ladder
-#: from 10 microseconds (one cheap cached solve) to 10 seconds (a stuck
+#: from 10 microseconds (one cheap solve) to 10 seconds (a stuck
 #: drain round); observations beyond the last bound land in the implicit
 #: +Inf overflow bucket.  Fixed boundaries make the snapshots of
 #: different runs (benchmark rounds, a before and an after) comparable
@@ -200,8 +200,8 @@ class CounterRegistry:
     """Process-wide named counters and gauges — the shared stats surface.
 
     The equation-system solver (``equation_system.row_solves``), the
-    solve cache (``solve_cache.hits`` / ``.misses`` / ``.evictions``)
-    and the resilience layer (``resilience.breaker.*``) register here,
+    fold memo (``memo.fold.hits`` / ``.misses`` / ``.evictions``) and
+    the resilience layer (``resilience.breaker.*``) register here,
     so benchmarks and ablations read and reset one place instead of
     poking mutable class attributes.
     """
@@ -290,7 +290,7 @@ class CounterRegistry:
                 self._histograms[name].reset()
 
 
-#: The default registry used by the solver, cache, and benchmarks.
+#: The default registry used by the solver, memos, and benchmarks.
 GLOBAL_COUNTERS = CounterRegistry()
 
 

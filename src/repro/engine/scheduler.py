@@ -549,8 +549,8 @@ class QueryRuntime:
         wholesale by the snapshot writer), queued-but-unprocessed
         arrivals, undelivered outputs, per-query and runtime counters,
         breaker health, the round-robin cursor, and the global
-        segment-id watermark.  Derived caches (solve cache, solution
-        stores) are rebuilt by replay instead.
+        segment-id watermark.  Derived values (segment signatures) are
+        recomputed on demand instead.
         """
         return {
             "version": RUNTIME_SNAPSHOT_VERSION,

@@ -9,7 +9,7 @@ the full life of an arrival::
     round                       one scheduler drain round
     └─ arrival                  one queued item being processed
        ├─ operator              one plan node processing one run of inputs
-       │  └─ solve              an equation-system / cache-funnel solve
+       │  └─ solve              an equation-system / solve-funnel solve
        │     └─ root_query      the kernel's root-finding stage
        └─ emit                  outputs appended for this arrival
 
@@ -59,7 +59,6 @@ SPAN_KINDS = (
     "solve",
     "root_query",
     "emit",
-    "cache",
     "watchdog",
     "session",
     "ingest",
@@ -570,9 +569,9 @@ def enable_observability(trace_sink=None) -> Tracer | None:
     ``trace_sink`` is a path, open file, or list for the
     :class:`Tracer`; ``None`` records histograms only.  Installs the
     guarded hooks into :mod:`repro.core.batch_solver`,
-    :mod:`repro.core.equation_system`, :mod:`repro.core.plan` and
-    :mod:`repro.core.solve_cache`; the engine-side site (the
-    scheduler) reads this module's state directly.
+    :mod:`repro.core.equation_system` and :mod:`repro.core.plan`; the
+    engine-side site (the scheduler) reads this module's state
+    directly.
 
     Returns the tracer (or ``None``).  Enabling twice tears down the
     previous state first, so the hooks never stack.
@@ -581,7 +580,7 @@ def enable_observability(trace_sink=None) -> Tracer | None:
     if _ENABLED:
         disable_observability()
 
-    from ..core import batch_solver, equation_system, plan, solve_cache
+    from ..core import batch_solver, equation_system, plan
 
     tracer = Tracer(trace_sink) if trace_sink is not None else None
 
@@ -624,7 +623,6 @@ def enable_observability(trace_sink=None) -> Tracer | None:
     plan.set_operator_trace(
         _operator_trace(tracer) if tracer is not None else None
     )
-    solve_cache.set_cache_observer(_cache_observer(tracer))
 
     _TRACER = tracer
     _ENABLED = True
@@ -634,7 +632,7 @@ def enable_observability(trace_sink=None) -> Tracer | None:
 def disable_observability() -> None:
     """Restore the zero-cost state: every hook back to ``None``."""
     global _ENABLED, _TRACER
-    from ..core import batch_solver, equation_system, plan, solve_cache
+    from ..core import batch_solver, equation_system, plan
 
     batch_solver.set_solver_instrumentation(
         solve_span=None,
@@ -646,7 +644,6 @@ def disable_observability() -> None:
         system_span=None, batch_span=None
     )
     plan.set_operator_trace(None)
-    solve_cache.set_cache_observer(None)
     if _TRACER is not None:
         _TRACER.close()
     _TRACER = None
@@ -769,16 +766,3 @@ class _OperatorSite:
 
 def _operator_trace(tracer: Tracer) -> Callable:
     return _OperatorSite(tracer)
-
-
-def _cache_observer(tracer: Tracer | None) -> Callable[[str, int], None]:
-    from .metrics import get_gauge
-
-    entries_gauge = get_gauge("solve_cache.entries")
-
-    def observe(event: str, entries: int) -> None:
-        entries_gauge.set(float(entries))
-        if tracer is not None and event == "evict":
-            tracer.event("solve_cache_evict", "cache", entries=entries)
-
-    return observe

@@ -1,7 +1,7 @@
 """Thread-safe bridge between the network layer and the query runtime.
 
 The :class:`~repro.engine.scheduler.QueryRuntime` (and everything below
-it: solve caches, the tracer) is single-threaded
+it: operator state, the tracer) is single-threaded
 by design.  The server keeps it that way: one dedicated **engine
 thread** owns the runtime, the fitting builders and all tracer access;
 the asyncio event loop submits commands through a queue and awaits

@@ -118,40 +118,27 @@ class TestFilter:
 
 
 class TestLookupBudget:
-    """Where a probe is remembered is one decision: fold memo, then the
-    solution store, then the row-level solve cache — one lookup each."""
-
-    @staticmethod
-    def _lookups(snapshot, *prefixes):
-        return sum(
-            value
-            for name, value in snapshot.items()
-            if name.startswith(prefixes)
-            and name.rsplit(".", 1)[1] in ("hits", "misses", "seam_rejects")
-        )
+    """A probe is remembered in one place: the fold memo, one lookup."""
 
     @pytest.mark.parametrize("repeat", [1, 3])
-    def test_probe_costs_two_memo_lookups_and_one_cache_lookup(self, repeat):
-        from repro.core.solve_cache import reset_global_solve_cache
+    def test_probe_costs_one_fold_memo_lookup(self, repeat):
         from repro.engine.metrics import counter_snapshot, reset_counters
 
         f = ContinuousFilter(pred("x", Rel.GT, 0.0))
-        reset_global_solve_cache()
         reset_counters()
         for i in range(repeat):
-            # fresh content every probe: nothing is served from memory
             f.process(seg(0, 10, x=[-5.0 - i, 1.0]))
-        snapshot = counter_snapshot()
-        assert self._lookups(snapshot, "memo.", "delta.store.") <= 2 * repeat
-        assert self._lookups(snapshot, "solve_cache.") == repeat
-        assert not [
-            name
-            for name in snapshot
-            if name.startswith(
-                ("memo.content_sig", "memo.fold_sig",
-                 "memo.filter_segment", "memo.join_pair", "memo.system")
-            )
-        ]
+        lookups = {
+            name: value
+            for name, value in counter_snapshot().items()
+            if name.rsplit(".", 1)[-1] in ("hits", "misses") and value
+        }
+        # the first probe folds, every later one is served the residual
+        assert lookups == (
+            {"memo.fold.misses": 1, "memo.fold.hits": repeat - 1}
+            if repeat > 1
+            else {"memo.fold.misses": 1}
+        )
 
 
 class TestRuns:
@@ -160,7 +147,6 @@ class TestRuns:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         from repro.core import batch_solver
-        from repro.core.solve_cache import reset_global_solve_cache
 
         calls: list[int] = []
         real = batch_solver.solve_relation_batch
@@ -169,10 +155,8 @@ class TestRuns:
             calls.append(len(tasks))
             return real(tasks, failures)
 
-        reset_global_solve_cache()
         monkeypatch.setattr(batch_solver, "solve_relation_batch", counting)
         yield calls
-        reset_global_solve_cache()
 
     @staticmethod
     def _run(n):
@@ -190,9 +174,6 @@ class TestRuns:
         assert f.systems_solved == 16
         assert kernel_calls == [16]
         # one input at a time, the same solves cost a call each
-        from repro.core.solve_cache import reset_global_solve_cache
-
-        reset_global_solve_cache()
         kernel_calls.clear()
         g = ContinuousFilter(pred("x", Rel.GT, 0.0))
         assert self._spans(g.process(s) for s in run) == self._spans(outputs)
@@ -218,13 +199,12 @@ class TestRuns:
         assert kernel_calls == [16]
         assert plan.node(split).segments_out == 16
 
-    def test_repeated_content_solves_once(self, kernel_calls):
+    def test_repeated_content_takes_one_kernel_call(self, kernel_calls):
         first = seg(0, 10, x=[-4.0, 1.0])
         again = seg(0, 10, x=[-4.0, 1.0])
-        assert first.content_sig == again.content_sig
         f = ContinuousFilter(pred("x", Rel.GT, 0.0))
         outputs = list(f.process_run([first, again]))
-        # the second input is the store hit it is one at a time
-        assert f.systems_solved == 1
-        assert kernel_calls == [1]
+        # nothing is remembered: both inputs solve, in one sweep
+        assert f.systems_solved == 2
+        assert kernel_calls == [2]
         assert self._spans(outputs) == [[(4.0, 10.0)], [(4.0, 10.0)]]

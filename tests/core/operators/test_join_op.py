@@ -269,3 +269,36 @@ class TestJoinState:
         ranges = sorted((o.t_start, o.t_end) for o in out)
         # Old model only joins on [0,5); the update (x=99) never does.
         assert ranges == [(0.0, 5.0)]
+
+
+class TestSelfJoinOrientation:
+    """A self-join the symmetry rewrite does not take still lowers to a
+    :class:`ContinuousJoin` fed on both ports by one source, so every
+    pair it emits must come with its swapped twin."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the port-0 probe pairs the arrival with its key's "
+        "predecessor before the update rule trims it in the right "
+        "buffer; fix: apply the arrival's update semantics on both "
+        "buffers before either probe",
+    )
+    def test_overlapping_successor_pairs_in_both_orientations(self):
+        from repro.core.transform import to_continuous_plan
+        from repro.query import parse_query, plan_query
+
+        query = to_continuous_plan(plan_query(parse_query(
+            "select * from s [size 3 advance 1] as a "
+            "join s [size 3 advance 1] as b on (a.x + b.x > 0)"
+        )))
+        outputs = []
+        for lo, hi, x in ((0.0, 4.0, 0.5), (2.0, 5.0, 1.0)):
+            outputs += query.push(
+                "s", Segment(("k",), lo, hi, {"x": Polynomial([x])})
+            )
+        rows = sorted(
+            (s.t_start, s.t_end, s.models["a.x"].coeffs,
+             s.models["b.x"].coeffs)
+            for s in outputs
+        )
+        assert rows == sorted((lo, hi, b, a) for lo, hi, a, b in rows)

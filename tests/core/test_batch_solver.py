@@ -19,7 +19,6 @@ from repro.core.polynomial import Polynomial
 from repro.core.predicate import Comparison
 from repro.core.relation import Rel
 from repro.core.roots import _deflate, real_roots
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.engine.metrics import get_counter, reset_counters
 
 
@@ -116,7 +115,6 @@ class TestRowSolveCounter:
     def test_counter_bumps_per_row(self):
         reset_counters("equation_system.row_solves")
         counter = get_counter("equation_system.row_solves")
-        reset_global_solve_cache()
         models = {"p": Polynomial([-1.0, 1.0])}
         system = EquationSystem.from_predicate(
             Comparison(Attr("p"), Rel.LT, Const(0.0)), models.__getitem__

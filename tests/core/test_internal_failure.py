@@ -21,7 +21,6 @@ from repro.core.polynomial import Polynomial
 from repro.core.predicate import Comparison
 from repro.core.relation import Rel
 from repro.core.segment import Segment
-from repro.core.solve_cache import reset_global_solve_cache
 
 #: Leading coefficient that makes the patched kernel raise.
 MARKER = 7.25
@@ -38,10 +37,8 @@ def broken_kernel(monkeypatch):
             raise np.linalg.LinAlgError("SVD did not converge")
         return real(tasks, failures)
 
-    reset_global_solve_cache()
     monkeypatch.setattr(batch_solver, "solve_relation_batch", kernel)
     yield
-    reset_global_solve_cache()
 
 
 def _system(lead: float) -> EquationSystem:

@@ -87,35 +87,32 @@ class TestSegment:
 
 
 class TestSignatures:
-    def test_content_sig_ignores_time_range_and_identity(self):
+    def test_fold_sig_ignores_time_range_and_identity(self):
         s = Segment(("a",), 0, 10, {"x": Polynomial([1.0, 2.0])}, {"sym": "a"})
-        assert s.restrict(2, 5).content_sig == s.content_sig
         assert s.restrict(2, 5).fold_sig == s.fold_sig
-        assert hash(s.content_sig) == hash(s.restrict(2, 5).content_sig)
+        assert hash(s.fold_sig) == hash(s.restrict(2, 5).fold_sig)
 
     def test_refit_changes_content_but_not_fold_sig(self):
         a = Segment(("a",), 0, 10, {"x": Polynomial([1.0, 2.0])}, {"sym": "a"})
         b = Segment(("a",), 0, 10, {"x": Polynomial([9.0])}, {"sym": "a"})
-        assert a.content_sig != b.content_sig
         assert a.fold_sig == b.fold_sig
 
-    def test_constants_are_part_of_both(self):
+    def test_constants_are_part_of_the_fold_sig(self):
         a = Segment(("a",), 0, 1, {"x": Polynomial([1.0])}, {"sym": "a"})
         b = Segment(("a",), 0, 1, {"x": Polynomial([1.0])}, {"sym": "b"})
-        assert a.content_sig != b.content_sig
         assert a.fold_sig != b.fold_sig
 
     def test_unhashable_constant_has_no_signature(self):
         s = Segment(("a",), 0, 1, {"x": Polynomial([1.0])}, {"tags": ["u"]})
-        assert s.content_sig is None and s.fold_sig is None
-        assert s.content_sig is None  # the verdict is remembered too
+        assert s.fold_sig is None
+        assert s.fold_sig is None  # the verdict is remembered too
 
     def test_signatures_survive_pickling_by_recomputation(self):
         import pickle
 
         s = Segment(("a",), 0, 1, {"x": Polynomial([1.0])}, {"sym": "a"})
-        sig = s.content_sig
-        assert pickle.loads(pickle.dumps(s)).content_sig == sig
+        sig = s.fold_sig
+        assert pickle.loads(pickle.dumps(s)).fold_sig == sig
 
 
 class TestUpdateSemantics:

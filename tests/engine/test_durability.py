@@ -13,7 +13,6 @@ import os
 import pickle
 import random
 import struct
-from contextlib import nullcontext
 
 import pytest
 
@@ -42,7 +41,6 @@ from repro.engine.wal import (
     wal_last_seq,
 )
 from repro.query import parse_query, plan_query
-from tests.oracles import full_resolve
 
 
 @pytest.fixture(autouse=True)
@@ -352,19 +350,26 @@ class TestSnapshots:
     ):
         """Operator state is pickled wholesale, so a snapshot written
         before a layout change must not be loaded: it is skipped like a
-        damaged one and recovery takes the next candidate."""
+        damaged one and recovery takes the next candidate.  Version 3
+        is the last layout whose operators pickled a solution store, a
+        class that no longer exists."""
         from repro.engine import durability
 
         write_snapshot(tmp_path, 5, {"epoch": "current"})
-        monkeypatch.setattr(durability, "SNAPSHOT_VERSION", 1)
-        stale = write_snapshot(tmp_path, 9, _ExplodesOnUnpickle())
-        monkeypatch.undo()
-        assert durability.SNAPSHOT_VERSION == 3
-        with pytest.raises(SnapshotError, match="version 1"):
-            read_snapshot(stale)
+        stale = {}
+        for seq, version in ((9, 1), (11, 3)):
+            monkeypatch.setattr(durability, "SNAPSHOT_VERSION", version)
+            stale[version] = write_snapshot(
+                tmp_path, seq, _ExplodesOnUnpickle()
+            )
+            monkeypatch.undo()
+        assert durability.SNAPSHOT_VERSION == 4
+        for version, path in stale.items():
+            with pytest.raises(SnapshotError, match=f"version {version}"):
+                read_snapshot(path)
         seq, state, _ = load_latest_snapshot(tmp_path)
         assert (seq, state["epoch"]) == (5, "current")
-        assert get_counter("recovery.bad_snapshots").value == 1
+        assert get_counter("recovery.bad_snapshots").value == 2
 
     def test_all_bad_falls_back_to_genesis(self, tmp_path):
         path = write_snapshot(tmp_path, 5, {"x": 1})
@@ -548,14 +553,11 @@ class TestRuntimeRecovery:
         with pytest.raises(PlanError):
             rt.restore()
 
-    @pytest.mark.parametrize("resolve", [nullcontext, full_resolve])
-    def test_crash_replay_is_bit_exact(self, tmp_path, resolve):
-        """Solution stores pickle *empty* (derived caches) and the fold
-        memos keep their entries but rebind counter handles: a restored
-        runtime must still reconverge with a never-died reference —
-        as the engine runs, and under the full re-solve oracle."""
-        with resolve():
-            self._crash_replay(tmp_path)
+    def test_crash_replay_is_bit_exact(self, tmp_path):
+        """The fold memos keep their entries but rebind counter handles:
+        a restored runtime must still reconverge with a never-died
+        reference."""
+        self._crash_replay(tmp_path)
 
     def test_crash_replay_of_warm_window_and_join_state_is_bit_exact(
         self, tmp_path

@@ -18,10 +18,9 @@ import json
 
 import pytest
 
-from repro.core import batch_solver, equation_system, plan, solve_cache
+from repro.core import batch_solver, equation_system, plan
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import metrics, tracing
 from repro.engine.metrics import reset_counters
@@ -55,7 +54,6 @@ def _events(rows_per_key=3, keys=("a", "b")):
 
 
 def _run_runtime(budget_s=None, events=None):
-    reset_global_solve_cache()
     reset_counters()
     rt = QueryRuntime(slow_solve_budget_s=budget_s)
     try:

@@ -28,14 +28,12 @@ import pytest
 
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Segment
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import tracing
 from repro.engine.metrics import counter_snapshot, reset_counters
 from repro.engine.scheduler import QueryRuntime
 from repro.engine.tracing import TraceError, build_span_tree, read_trace
 from repro.query import parse_query, plan_query
-from tests.oracles import full_resolve
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -80,7 +78,6 @@ SCENARIOS = {
 
 def run_traced_scenario(sql: str, trace_path) -> list[dict]:
     """Run one scenario's workload traced; return normalized records."""
-    reset_global_solve_cache()
     reset_counters()
     planned = plan_query(parse_query(sql))
     consumed = set(planned.stream_sources)
@@ -144,21 +141,19 @@ def _multisub_tuples():
     ]
 
 
-def run_multisub_scenario(trace_path, oracle: bool = False):
+def run_multisub_scenario(trace_path):
     """Two bounds, one shared graph, driven through the bridge.
 
     A loose (0.2) subscriber joins first, then a tight (0.05) one —
     exactly one retighten, performed while the fitting builders are
     still empty, so the span stream stays fully deterministic.  Returns
     ``(normalized_spans_or_None, per_subscription_canonical_outputs)``.
-    ``oracle`` runs under the full re-solve oracle.
     """
     import contextlib
 
     from repro.engine.tuples import StreamTuple
     from repro.server.bridge import EngineBridge, FitSpec
 
-    reset_global_solve_cache()
     reset_counters()
     delivered: dict[int, list] = {}
 
@@ -172,7 +167,7 @@ def run_multisub_scenario(trace_path, oracle: bool = False):
         else contextlib.nullcontext()
     )
     tuples = [StreamTuple(t) for t in _multisub_tuples()]
-    with full_resolve() if oracle else contextlib.nullcontext(), ctx:
+    with ctx:
         bridge = EngineBridge(on_outputs=on_outputs)
         bridge.start()
         try:
@@ -221,14 +216,6 @@ def test_multisub_trace_matches_golden(tmp_path, update_goldens):
     )
 
 
-def test_multisub_full_resolve_output_parity():
-    """The shared-graph fan-out must equal the full re-solve oracle too."""
-    _, full = run_multisub_scenario(None, oracle=True)
-    _, out = run_multisub_scenario(None)
-    assert out == full
-    assert set(full) == {1, 2}
-
-
 def _canon_outputs(outputs):
     return [
         (
@@ -240,41 +227,6 @@ def _canon_outputs(outputs):
         )
         for s in outputs
     ]
-
-
-def _run_outputs(sql: str, oracle: bool):
-    """Run one scenario's workload untraced; return value-canonical outputs."""
-    import contextlib
-
-    reset_global_solve_cache()
-    reset_counters()
-    planned = plan_query(parse_query(sql))
-    consumed = set(planned.stream_sources)
-    with full_resolve() if oracle else contextlib.nullcontext():
-        rt = QueryRuntime()
-        try:
-            rt.register("q", to_continuous_plan(planned))
-            for stream, seg in _trace_events():
-                if stream in consumed:
-                    rt.enqueue(stream, seg)
-            rt.run_until_idle()
-            outputs = rt.outputs("q")
-        finally:
-            rt.close()
-    return _canon_outputs(outputs)
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_full_resolve_output_parity(scenario):
-    """The solution store must not change a single output value.
-
-    Every golden workload runs as the engine runs it and under the full
-    re-solve oracle, and the output streams are compared by value — the
-    store's contract is bit-exact equality with solving every probe.
-    """
-    sql = SCENARIOS[scenario]
-    full = _run_outputs(sql, oracle=True)
-    assert _run_outputs(sql, oracle=False) == full
 
 
 def test_goldens_have_no_strays():

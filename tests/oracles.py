@@ -1,17 +1,14 @@
 """Reference implementations the parity suites compare the engine against.
 
-The engine runs one path: the batched kernel behind the solve cache,
-closed-form cubic/quartic candidates, and a content-addressed solution
-store in front of every selective operator.  The slower twins it is
-held equal to live here, as plain functions and context managers for
+The engine runs one path: the batched kernel with closed-form
+cubic/quartic candidates, fed by every selective operator's probes.
+The slower twins it is held equal to live here, as plain functions and context managers for
 tests and tools — none of them is reachable from ``src/``:
 
 * **scalar** — :func:`repro.core.roots.real_roots` and
-  :func:`repro.core.roots.solve_relation` row by row, uncached;
+  :func:`repro.core.roots.solve_relation` row by row;
 * **companion** — the stacked companion-matrix eigensolve for every
   degree, i.e. the bucket the closed-form kernels fall back to;
-* **full re-solve** — every probe solved from scratch: the solution
-  store still shares compiled systems but never serves a solution;
 * **linear operator state** — the windowed operators' containers as
   plain lists walked end to end on every arrival: what the ordered,
   bisect-indexed sum/avg pieces and ``SegmentBuffer`` replaced, and a
@@ -31,7 +28,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core import batch_solver, plan as plan_module
-from repro.core.delta import SolutionStore
 from repro.core.equation_system import EquationSystem
 from repro.core.intervals import EPS, Interval, TimeSet
 from repro.core.operators import ContinuousJoin
@@ -86,32 +82,6 @@ def companion_roots_rows(rows) -> list[list[float]]:
         return batch_solver.real_roots_rows(rows)
     finally:
         batch_solver.cubic_candidates, batch_solver.quartic_candidates = saved
-
-
-# ----------------------------------------------------------------------
-# full re-solve
-# ----------------------------------------------------------------------
-@contextmanager
-def full_resolve() -> Iterator[None]:
-    """Make every solution-store lookup miss its *solution*.
-
-    Compiled systems are still found (compiling is deterministic, so
-    sharing them cannot change an output); what is switched off is the
-    reuse of a solved ``TimeSet`` for re-confirmed content — each probe
-    solves over its own domain, which is the behaviour the store must
-    reproduce bit for bit.
-    """
-    real = SolutionStore.lookup
-
-    def lookup(self, sig, lo, hi):
-        found = real(self, sig, lo, hi)
-        return None if found is None else (found[0], None)
-
-    SolutionStore.lookup = lookup
-    try:
-        yield
-    finally:
-        SolutionStore.lookup = real
 
 
 # ----------------------------------------------------------------------

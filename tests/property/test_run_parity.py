@@ -7,9 +7,8 @@ systems in one pooled kernel sweep.  The executor it replaced — one
 suite drives both over Hypothesis-drawn inputs and holds them equal on
 everything the cascade exposes: every output segment (ids pinned, so
 creation order counts too), per-node ``segments_in``/``segments_out``,
-``systems_solved``, every step-observer record, the typed error a
-failing push raises and, when nothing failed, each filter's solution
-store entry by entry in recency order.
+``systems_solved``, every step-observer record and the typed error a
+failing push raises.
 
 The inputs cover And/Or/Not predicates with equality atoms (point
 outputs) and discretely folded atoms, models of degree 1 to 4, runs in
@@ -39,7 +38,6 @@ from repro.core.polynomial import Polynomial
 from repro.core.predicate import And, Comparison, Not, Or
 from repro.core.relation import Rel
 from repro.core.segment import Segment
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.query import parse_query, plan_query
 from tests.oracles import segment_at_a_time
@@ -86,7 +84,6 @@ def _timeset(ts) -> tuple:
 
 def _observe(build, feed, oracle: bool, poisoned: bool):
     """Run ``feed`` through the plan ``build`` makes; everything seen."""
-    reset_global_solve_cache()
     records: list = []
     outputs: list = []
     error = None
@@ -110,16 +107,6 @@ def _observe(build, feed, oracle: bool, poisoned: bool):
         finally:
             set_fault_hook(None)
     operators = plan.operators()
-    stores = None
-    if error is None:
-        stores = [
-            [
-                (sig, lo, hi, None if sol is None else _timeset(sol))
-                for sig, (_, lo, hi, sol) in op._solution_store._map.items()
-            ]
-            for op in operators
-            if isinstance(op, ContinuousFilter)
-        ]
     return {
         "outputs": outputs,
         "stats": plan.stats(),
@@ -128,7 +115,6 @@ def _observe(build, feed, oracle: bool, poisoned: bool):
         ],
         "records": records,
         "error": error,
-        "stores": stores,
     }
 
 
@@ -275,7 +261,7 @@ def test_repeated_content_and_kth_fault_are_exercised():
     other = ("new", (1.0, 2.0), (2.0, -1.0), (0.5, 1.0), "b")
     runs = [
         [same, ("repeat", 0, None), ("repeat", 0, (5.0, 2.0)), same],
-        # a store hit behind a solve in the same run
+        # repeated content behind a solve in the same run
         [other, ("repeat", 0, None)],
     ]
     result = _assert_same_execution(*_fanout_build(x, x, runs, None, False))
@@ -428,7 +414,6 @@ def test_pooled_jobs_match_one_solve_per_job(specs, equality_at, record):
     set_fault_hook(_content_fault)
     try:
         for solve in (solve_systems_batch, _one_by_one):
-            reset_global_solve_cache()
             failures = {} if record else None
             try:
                 result = [_timeset(t) for t in solve(jobs, failures)]

@@ -26,21 +26,15 @@ The contract under test:
 * **Faults stay topology-independent**: poisoned content faults by
   value, so the breaker quarantines the same keys whether one graph
   serves five subscribers or five graphs serve one each.
-
-Every script runs twice — as the engine runs, and with both executors
-under the full re-solve oracle (``tests/oracles.py``) — because the
-shared graph must hold parity with and without solution reuse.
 """
 
 from collections import defaultdict
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch_solver import set_fault_hook
 from repro.core.errors import SolverError
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine.metrics import reset_counters
 from repro.engine.resilience import BreakerConfig
@@ -49,7 +43,6 @@ from repro.engine.tuples import StreamTuple
 from repro.fitting.model_builder import StreamModelBuilder
 from repro.query import parse_query, plan_query
 from repro.server.bridge import EngineBridge, FitSpec
-from tests.oracles import full_resolve
 
 SQL = "select * from ticks where x > 0"
 STREAM = "ticks"
@@ -119,7 +112,6 @@ def canon(outputs):
 
 
 def _reset():
-    reset_global_solve_cache()
     reset_counters()
 
 
@@ -236,15 +228,13 @@ def run_oracle(events):
     return {sid: canon(outs) for sid, outs in delivered.items()}
 
 
-@pytest.mark.parametrize("resolve", [full_resolve, nullcontext])
 @given(events=scripts())
 @settings(max_examples=25, deadline=None)
-def test_shared_graph_matches_dedicated_oracle(resolve, events):
+def test_shared_graph_matches_dedicated_oracle(events):
     previous = set_fault_hook(_content_fault)
     try:
-        with resolve():
-            shared = run_shared(events)
-            oracle = run_oracle(events)
+        shared = run_shared(events)
+        oracle = run_oracle(events)
     finally:
         set_fault_hook(previous)
     # every subscription matches its oracle, delivery for delivery

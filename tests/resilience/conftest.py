@@ -1,24 +1,20 @@
 """Shared fixtures for the resilience suite.
 
 Fault injection and breaker tests assert on the *global* metrics
-registry and rely on every solve being a cache miss (the fault hook only
-sees misses), so each test starts and ends with a clean slate.
+registry, so each test starts and ends with a clean slate.
 """
 
 import pytest
 
 from repro.core import batch_solver
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.engine.metrics import reset_counters
 
 
 @pytest.fixture(autouse=True)
 def clean_slate():
-    reset_global_solve_cache()
     reset_counters()
     yield
     # Injectors restore on exit, but a test that failed mid-context
     # must not leak its hook into the next test.
     batch_solver.set_fault_hook(None)
-    reset_global_solve_cache()
     reset_counters()

@@ -21,7 +21,7 @@ pytestmark = pytest.mark.resilience
 
 
 def tasks(n, lo=0.0, hi=10.0):
-    """Distinct linear tasks so nothing hits the solve cache."""
+    """Distinct linear tasks, one root each."""
     return [
         (Polynomial([-(i + 1.0), 1.0]), Rel.GT, lo, hi) for i in range(n)
     ]
@@ -93,9 +93,6 @@ class TestSolverFaultInjector:
         first, second = {}, {}
         with inject_solver_faults(rate=0.3, seed=11):
             solve_tasks(tasks(50), first)
-        from repro.core.solve_cache import reset_global_solve_cache
-
-        reset_global_solve_cache()
         with inject_solver_faults(rate=0.3, seed=11):
             solve_tasks(tasks(50), second)
         assert set(first) == set(second)

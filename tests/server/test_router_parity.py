@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batch_solver import set_fault_hook
 from repro.core.errors import SolverError
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.engine.metrics import reset_counters
 from repro.engine.resilience import BreakerConfig
 from repro.server import (
@@ -52,7 +51,6 @@ def _breaker():
 
 
 def _reset():
-    reset_global_solve_cache()
     reset_counters()
 
 

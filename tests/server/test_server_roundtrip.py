@@ -18,7 +18,6 @@ import socket
 import pytest
 
 from repro.bench.queries import FOLLOWING_SQL, MACD_SQL
-from repro.core.solve_cache import reset_global_solve_cache
 from repro.core.transform import to_continuous_plan
 from repro.engine import tracing
 from repro.engine.lowering import to_discrete_plan
@@ -206,7 +205,6 @@ class TestContinuousParity:
         batches of 50."""
         sql, stream, fit, bound, make_rows = PAPER_SHAPES[shape]
         rows = make_rows()
-        reset_global_solve_cache()
         reset_counters()
         with ServerThread(ServerConfig()) as handle:
             with PulseClient("127.0.0.1", handle.port) as c:

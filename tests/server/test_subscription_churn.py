@@ -2,14 +2,14 @@
 
 The shared-plan runtime's cleanup contract: the *last* unsubscribe
 tears the shared graph down completely — runtime registration, operator
-solution stores, fitting builders — so unbounded subscription churn leaves the
+fold memos, fitting builders — so unbounded subscription churn leaves the
 process exactly where it started.  Asserted two ways:
 
 * the ``subs.active`` / ``subs.shared_graphs`` gauges read zero (and
   the bridge's stats tables are empty) after the soak, and
 * ``gc``-level object counts for the leak-prone classes
-  (``_SharedGraph``, scheduler ``_Registration``, ``SolutionStore``,
-  ``StreamModelBuilder``) return to their pre-churn baseline.
+  (``_SharedGraph``, scheduler ``_Registration``, the operators'
+  ``LruMemo`` fold memos, ``StreamModelBuilder``) return to their pre-churn baseline.
 
 Each cycle also exercises the retarget machinery (a tight and a loose
 subscriber join, the tight one leaves first → one relax re-solve per
@@ -19,7 +19,7 @@ just the no-op join.
 
 import gc
 
-from repro.core.delta import SolutionStore
+from repro.core.delta import LruMemo
 from repro.engine.metrics import get_counter, get_gauge
 from repro.engine.scheduler import _Registration
 from repro.engine.tuples import StreamTuple
@@ -31,7 +31,7 @@ STREAM = "objects"
 FIT = FitSpec(attrs=("x",), key_fields=("id",))
 CYCLES = 1000
 #: Classes whose live-instance count must return to baseline.
-TRACKED = (_SharedGraph, _Registration, SolutionStore, StreamModelBuilder)
+TRACKED = (_SharedGraph, _Registration, LruMemo, StreamModelBuilder)
 
 
 def _live(cls) -> int:
