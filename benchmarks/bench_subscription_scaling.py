@@ -168,47 +168,44 @@ def run_baseline(n_subs: int) -> dict:
     rt = QueryRuntime()
     per_query: dict[int, list] = defaultdict(list)
     outputs: dict[str, list] = {}
-    try:
-        solves0 = ROW_SOLVES.value
-        tracemalloc.start()
-        t0 = time.perf_counter()
-        for j in range(n_subs):
-            qi = j % N_QUERIES
-            name = f"q{qi}~c@{j}"
-            compiled = to_continuous_plan(planned[qi])
-            stream = f"s{qi}"
-            namespaced = compiled.renamed({stream: f"{name}/{stream}"})
-            rt.register(name, namespaced)
-            builder = StreamModelBuilder(
-                FIT.attrs,
-                bound(j, n_subs),
-                key_fields=FIT.key_fields,
-                constants=FIT.effective_constants,
-            )
-            per_query[qi].append((name, builder))
-            outputs[name] = []
-        for i in range(N_QUERIES):
-            for tup in TUPLES[i]:
-                for name, builder in per_query[i]:
-                    for seg in builder.add(tup):
-                        rt.enqueue(f"{name}/s{i}", seg)
-            rt.run_until_idle()
-            for name, _builder in per_query[i]:
-                outputs[name].extend(rt.outputs(name))
-        for i in range(N_QUERIES):
+    solves0 = ROW_SOLVES.value
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    for j in range(n_subs):
+        qi = j % N_QUERIES
+        name = f"q{qi}~c@{j}"
+        compiled = to_continuous_plan(planned[qi])
+        stream = f"s{qi}"
+        namespaced = compiled.renamed({stream: f"{name}/{stream}"})
+        rt.register(name, namespaced)
+        builder = StreamModelBuilder(
+            FIT.attrs,
+            bound(j, n_subs),
+            key_fields=FIT.key_fields,
+            constants=FIT.effective_constants,
+        )
+        per_query[qi].append((name, builder))
+        outputs[name] = []
+    for i in range(N_QUERIES):
+        for tup in TUPLES[i]:
             for name, builder in per_query[i]:
-                for seg in builder.finish():
+                for seg in builder.add(tup):
                     rt.enqueue(f"{name}/s{i}", seg)
         rt.run_until_idle()
-        for name_list in per_query.values():
-            for name, _builder in name_list:
-                outputs[name].extend(rt.outputs(name))
-        wall = time.perf_counter() - t0
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        solves = ROW_SOLVES.value - solves0
-    finally:
-        rt.close()
+        for name, _builder in per_query[i]:
+            outputs[name].extend(rt.outputs(name))
+    for i in range(N_QUERIES):
+        for name, builder in per_query[i]:
+            for seg in builder.finish():
+                rt.enqueue(f"{name}/s{i}", seg)
+    rt.run_until_idle()
+    for name_list in per_query.values():
+        for name, _builder in name_list:
+            outputs[name].extend(rt.outputs(name))
+    wall = time.perf_counter() - t0
+    _current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    solves = ROW_SOLVES.value - solves0
     return {
         "wall_s": wall,
         "row_solves": solves,

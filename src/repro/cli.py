@@ -125,19 +125,18 @@ def cmd_run(args) -> int:
             # --slow-solve-ms routes the run through it.
             from .engine.scheduler import QueryRuntime
 
-            with QueryRuntime(slow_solve_budget_s=budget_s) as runtime:
-                runtime.register("cli", query)
-                for segment in segments:
-                    runtime.enqueue(stream, segment)
-                runtime.run_until_idle()
-                outputs = runtime.outputs("cli")
-                if budget_s is not None:
-                    wd = runtime.resilience_stats()["watchdog"]
-                    print(
-                        f"watchdog: {wd['slow_solves']} of "
-                        f"{wd['items_checked']} arrivals over "
-                        f"{args.slow_solve_ms:g} ms"
-                    )
+            runtime = QueryRuntime(slow_solve_budget_s=budget_s)
+            runtime.register("cli", query)
+            for segment in segments:
+                runtime.enqueue(stream, segment)
+            runtime.run_until_idle()
+            outputs = runtime.outputs("cli")
+            wd = runtime.resilience_stats()["watchdog"]
+            print(
+                f"watchdog: {wd['slow_solves']} of "
+                f"{wd['items_checked']} arrivals over "
+                f"{args.slow_solve_ms:g} ms"
+            )
         else:
             for segment in segments:
                 outputs.extend(query.push(stream, segment))

@@ -288,13 +288,6 @@ def _discrete_value(expr, env: Mapping[str, object]):
     return expr.evaluate({k: v for k, v in env.items() if isinstance(v, (int, float))})
 
 
-def bind_segments(
-    segments: Mapping[str | None, Segment]
-) -> AttributeBinding:
-    """Convenience constructor kept as a free function for call sites."""
-    return AttributeBinding(segments)
-
-
 def merged_constants(
     segments: Sequence[tuple[str | None, Segment]]
 ) -> dict[str, object]:

@@ -28,16 +28,10 @@ from __future__ import annotations
 from ..equation_system import EquationSystem, solve_systems_batch
 from ..errors import PlanError
 from ..expr import Attr
-from ..predicate import And, BoolExpr, Comparison, Literal
+from ..predicate import And, BoolExpr, Comparison
 from ..relation import Rel
 from ..segment import Segment, SegmentBuffer
-from .base import (
-    AttributeBinding,
-    SelectiveOperator,
-    merged_constants,
-    merged_models,
-    partial_evaluate,
-)
+from .base import SelectiveOperator, merged_constants, merged_models
 
 
 def _pair_sig(left, right):
@@ -281,16 +275,11 @@ class ContinuousJoin(SelectiveOperator):
         if not partners:
             return None
         partner = partners[-1]
-        left_seg, right_seg = (
-            (segment, partner) if port == 0 else (partner, segment)
-        )
-        binding = AttributeBinding(
-            {self.left_alias: left_seg, self.right_alias: right_seg}
-        )
-        residual = partial_evaluate(self.predicate, binding)
-        if isinstance(residual, Literal):
-            return None
-        return EquationSystem.from_predicate(residual, binding.resolver())
+        left, right = (segment, partner) if port == 0 else (partner, segment)
+        return self._probe(
+            {self.left_alias: left, self.right_alias: right},
+            _pair_sig(left.fold_sig, right.fold_sig),
+        )[1]
 
     @property
     def state_size(self) -> int:

@@ -226,9 +226,9 @@ class Durability:
 
     The coordinator is deliberately engine-agnostic: callers hand it
     opaque records to log and an opaque state object to snapshot, and
-    drive replay themselves from :meth:`recover`'s record iterator —
-    the scheduler and the network bridge log different record shapes
-    (segments vs. raw tuples) through the same machinery.
+    drive replay themselves from :meth:`recover`'s record iterator.
+    Its one caller, the network bridge, logs commands at the raw-tuple
+    boundary, so replay rebuilds the fitting builders too.
     """
 
     def __init__(
@@ -254,8 +254,8 @@ class Durability:
         """WAL one ingest record; returns its sequence number."""
         return self.wal.append(record)
 
-    def checkpoint(self, state: object, seq: int | None = None) -> dict:
-        """Atomic snapshot at ``seq`` (default: the WAL's last sequence).
+    def checkpoint(self, state: object) -> dict:
+        """Atomic snapshot at the WAL's last sequence number.
 
         Fsyncs the WAL first (the snapshot must never be *ahead* of the
         durable log), writes the snapshot, rotates the WAL, and prunes
@@ -269,7 +269,7 @@ class Durability:
             else None
         )
         start = time.perf_counter()
-        seq = self.wal.last_seq if seq is None else int(seq)
+        seq = self.wal.last_seq
         self.wal.sync()
         path = write_snapshot(self.directory, seq, state)
         wal_removed = self.wal.rotate(seq)

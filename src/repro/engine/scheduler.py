@@ -47,7 +47,6 @@ from ..core.segment import (
 )
 from ..core.transform import TransformedQuery
 from . import tracing
-from .durability import Durability, RecoveryReport
 from .lowering import LoweredQuery
 from .metrics import get_counter, get_histogram
 from .resilience import BreakerConfig, CircuitBreaker, SlowSolveWatchdog
@@ -83,12 +82,6 @@ class _Registration:
     fallback_items: int = 0
     last_error: Exception | None = None
     _sampler: OutputSampler | None = None
-    #: The error bound this registration's equation systems are solved
-    #: at right now.  For a shared graph serving several subscribers it
-    #: is the *tightest* subscribed bound (paper Sec. IV: a solution at
-    #: a tight bound is valid for every looser bound); ``None`` means
-    #: the query's own plan bound applies unmodified.
-    solve_bound: float | None = None
 
     def __post_init__(self) -> None:
         for stream in self.streams:
@@ -133,14 +126,6 @@ class QueryRuntime:
         (``resilience.watchdog.*``); ``None`` (the default) disables
         the timing entirely.  Independent of the observability switch,
         so production can watch latency without paying for tracing.
-    durability:
-        A :class:`~repro.engine.durability.Durability` coordinator.
-        When set, every :meth:`enqueue` is WAL-logged *before* it can
-        touch operator state, :meth:`checkpoint` snapshots the whole
-        runtime atomically, and :meth:`restore` rebuilds state from
-        the newest valid snapshot plus a WAL-tail replay.  ``None``
-        (the default) is the ephemeral runtime, byte-for-byte the
-        pre-durability hot path.
     """
 
     def __init__(
@@ -150,7 +135,6 @@ class QueryRuntime:
         backpressure: str = "block",
         breaker: CircuitBreaker | BreakerConfig | None = None,
         slow_solve_budget_s: float | None = None,
-        durability: Durability | None = None,
     ):
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -165,11 +149,6 @@ class QueryRuntime:
         if isinstance(breaker, BreakerConfig):
             breaker = CircuitBreaker(breaker)
         self.breaker = breaker
-        self._durability = durability
-        #: Sequence number of the most recent WAL-logged arrival; the
-        #: durable resume point exposed to clients after recovery.
-        self.ingest_seq = durability.last_seq if durability else 0
-        self._replaying = False
         self._queries: dict[str, _Registration] = {}
         self._round_robin: deque[str] = deque()
         self._streams: set[str] = set()
@@ -240,33 +219,6 @@ class QueryRuntime:
             s for r in self._queries.values() for s in r.streams
         }
 
-    def rebind_bound(self, name: str, error_bound: float | None) -> None:
-        """Re-target a continuous registration's solve bound in place.
-
-        The shared-plan server calls this when the tightest subscribed
-        bound over a graph changes (a tighter subscriber arrived, or
-        the tightest one left).  The compiled plan and its operator
-        state (join buffers, window accumulators) stay untouched —
-        already-emitted outputs were solved at the previous bound and
-        remain valid for every subscriber it served; only the recorded
-        target for *future* solves moves.
-        """
-        reg = self._queries.get(name)
-        if reg is None:
-            raise PlanError(f"query {name!r} is not registered")
-        if not isinstance(reg.query, TransformedQuery):
-            raise PlanError(
-                f"query {name!r} is discrete; only continuous "
-                f"registrations carry a solve bound"
-            )
-        reg.solve_bound = None if error_bound is None else float(error_bound)
-
-    def solve_bound(self, name: str) -> float | None:
-        reg = self._queries.get(name)
-        if reg is None:
-            raise PlanError(f"query {name!r} is not registered")
-        return reg.solve_bound
-
     def has_query(self, name: str) -> bool:
         return name in self._queries
 
@@ -293,11 +245,6 @@ class QueryRuntime:
                 f"stream {stream!r} is not consumed by any registered "
                 f"query; known streams: {sorted(self._streams)}"
             )
-        if self._durability is not None and not self._replaying:
-            # Write-ahead: the arrival is durable before any operator
-            # state can change.  Replay re-runs the same admission
-            # logic, so back-pressure decisions are not re-logged.
-            self.ingest_seq = self._durability.log((stream, item))
         want_segment = isinstance(item, Segment)
         targets = [
             reg
@@ -567,7 +514,6 @@ class QueryRuntime:
                     "items_processed": reg.items_processed,
                     "errors": reg.errors,
                     "fallback_items": reg.fallback_items,
-                    "solve_bound": reg.solve_bound,
                 }
                 for reg in self._queries.values()
             ],
@@ -577,7 +523,6 @@ class QueryRuntime:
                 "items_dropped": self.items_dropped,
                 "items_shed": self.items_shed,
                 "step_errors": self.step_errors,
-                "ingest_seq": self.ingest_seq,
             },
             "breaker": (
                 self.breaker.state_dict() if self.breaker else None
@@ -618,9 +563,6 @@ class QueryRuntime:
             reg.items_processed = entry["items_processed"]
             reg.errors = entry["errors"]
             reg.fallback_items = entry["fallback_items"]
-            # Pre-shared-plan snapshots carry no solve bound; absent
-            # means "plan bound applies", which is what they meant.
-            reg.solve_bound = entry.get("solve_bound")
             reg.pending = sum(len(q) for q in reg.queues.values())
             self._queries[reg.name] = reg
             self._streams.update(reg.streams)
@@ -633,89 +575,11 @@ class QueryRuntime:
         self.items_dropped = counters["items_dropped"]
         self.items_shed = counters["items_shed"]
         self.step_errors = counters["step_errors"]
-        self.ingest_seq = counters["ingest_seq"]
         if state.get("breaker") is not None:
             if self.breaker is None:
                 self.breaker = CircuitBreaker()
             self.breaker.load_state(state["breaker"])
         ensure_segment_ids_above(state["seg_id_watermark"])
-
-    def checkpoint(self) -> dict:
-        """Atomically snapshot the runtime at its current ingest seq.
-
-        Requires an attached durability coordinator; the WAL is
-        fsynced first, the snapshot written (temp + rename), the WAL
-        rotated and old files pruned.  Returns checkpoint info
-        (path, seq, bytes, duration).
-        """
-        if self._durability is None:
-            raise PlanError("checkpoint requires a durability coordinator")
-        return self._durability.checkpoint(
-            self.checkpoint_state(), seq=self.ingest_seq
-        )
-
-    def restore(self) -> RecoveryReport:
-        """Recover from the durability directory: snapshot + WAL tail.
-
-        Loads the newest valid snapshot (genesis when none), replays
-        every intact WAL record after it through the normal
-        :meth:`enqueue` path, and processes to idle.  Outputs produced
-        by the replay are discarded — everything up to the recovered
-        sequence number counts as delivered (or lost with the dead
-        process); consumers resume from ``ingest_seq``.  Damaged WAL
-        frames are skipped with accounting in the returned report,
-        never raised.
-        """
-        if self._durability is None:
-            raise PlanError("restore requires a durability coordinator")
-        tracer = tracing.current_tracer()
-        span = (
-            tracer.start_detached("recovery", "recovery") if tracer else None
-        )
-        start = time.perf_counter()
-        state, report, records = self._durability.recover()
-        if state is not None:
-            self.restore_state(state)
-        self._replaying = True
-        try:
-            for seq, (stream, item) in records:
-                if not self.enqueue(stream, item) and (
-                    self.backpressure == "block"
-                ):
-                    # A blocked producer would have retried; drain and
-                    # re-offer so replay never loses a durable record.
-                    self.run_until_idle()
-                    self.enqueue(stream, item)
-                self.ingest_seq = seq
-            self.run_until_idle()
-        finally:
-            self._replaying = False
-        for reg in self._queries.values():
-            reg.outputs.clear()
-        self._durability.finish_recovery(report)
-        report.duration_s = time.perf_counter() - start
-        if tracer and span is not None:
-            tracer.finish_detached(
-                span,
-                snapshot_seq=report.snapshot_seq,
-                replayed=report.replayed,
-                recovered_seq=report.recovered_seq,
-            )
-        return report
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the durability appender."""
-        if self._durability is not None:
-            self._durability.close()
-
-    def __enter__(self) -> "QueryRuntime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # observation

@@ -46,8 +46,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.errors import PulseError
-from ..core.polynomial import Polynomial
-from ..core.segment import Segment
 from .metrics import get_counter, get_histogram
 
 FRAME_MAGIC = b"PWF1"
@@ -110,58 +108,6 @@ class WalReadStats:
 
 
 _fdatasync = getattr(os, "fdatasync", os.fsync)
-
-#: Tag marking a segment record flattened to primitives; the leading
-#: NUL keeps it out of the space of real stream names.
-_SEG_TAG = "\x00seg"
-
-
-def _pack_record(record: object) -> object:
-    """Flatten the hot-path record shape to pickle-cheap primitives.
-
-    ``(stream, Segment)`` — every continuous-ingest record — pickles
-    ~3× faster as a tagged tuple of floats and strings than through
-    the ``__reduce__`` chain (class-by-name references for Segment and
-    each Polynomial are re-emitted per record once the memo is
-    cleared).  Everything else passes through to plain pickle.
-    """
-    if (
-        type(record) is tuple
-        and len(record) == 2
-        and type(record[0]) is str
-        and type(record[1]) is Segment
-    ):
-        seg = record[1]
-        return (
-            _SEG_TAG,
-            record[0],
-            seg.key,
-            seg.t_start,
-            seg.t_end,
-            {attr: poly.coeffs for attr, poly in seg.models.items()},
-            dict(seg.constants),
-            seg.lineage,
-            seg.seg_id,
-        )
-    return record
-
-
-def _unpack_record(obj: object) -> object:
-    if type(obj) is tuple and obj and obj[0] == _SEG_TAG:
-        _, stream, key, t_start, t_end, models, constants, lineage, seg_id = obj
-        return (
-            stream,
-            Segment(
-                key,
-                t_start,
-                t_end,
-                {attr: Polynomial(c) for attr, c in models.items()},
-                constants,
-                lineage,
-                seg_id,
-            ),
-        )
-    return obj
 
 
 def _encode_frame(seq: int, payload: bytes) -> bytes:
@@ -267,7 +213,7 @@ class WriteAheadLog:
         buf.seek(0)
         buf.truncate()
         self._pickler.clear_memo()
-        self._pickler.dump(_pack_record(record))
+        self._pickler.dump(record)
         frame = _encode_frame(self._seq, buf.getvalue())
         self._file.write(frame)
         self._pending_records += 1
@@ -507,7 +453,7 @@ def _scan_file(path: str, stats: WalReadStats) -> Iterator[tuple[int, object]]:
             pos += len(FRAME_MAGIC)
             continue
         try:
-            record = _unpack_record(pickle.loads(payload))
+            record = pickle.loads(payload)
         except Exception as exc:
             stats.corrupt_frames += 1
             stats.errors.append(

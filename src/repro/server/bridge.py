@@ -29,12 +29,12 @@ own bound, an output cursor, its owning session).
 
 * **discrete** — one graph per query; ingested tuples push straight
   through the lowered plan.  Error bounds do not apply.
-* **continuous** — one graph per query, fitted and solved at
+* **continuous** — one graph per query, fitted at
   ``min(bound for live subscriptions)``.  When a tighter subscriber
   arrives (or the tightest one leaves), the graph **retargets**: open
   fitting windows seal at the old bound (their segments flow to the
-  subscribers that bound served) and future fitting/solving happens at
-  the new tightest bound.  That is the only re-solve subscribe/
+  subscribers that bound served) and future fitting happens at the
+  new tightest bound.  That is the only re-solve subscribe/
   unsubscribe can cost; joining at a bound the graph already satisfies
   is free.
 
@@ -185,8 +185,8 @@ class _SharedGraph:
     runtime_name: str
     entry: _QueryEntry
     mode: str
-    #: Continuous: the tightest currently-subscribed bound — fitting
-    #: tolerance and equation-system target alike.  Discrete: ``None``.
+    #: Continuous: the tightest currently-subscribed bound, which is
+    #: the builders' fitting tolerance.  Discrete: ``None``.
     solve_bound: float | None
     #: Original (wire-visible) stream names this graph consumes.
     streams: tuple[str, ...]
@@ -358,7 +358,6 @@ class EngineBridge:
         if alive:
             raise RuntimeError("engine thread did not stop")
         self._thread = None
-        self.runtime.close()
         if self._durability is not None:
             self._durability.close()
 
@@ -593,8 +592,6 @@ class EngineBridge:
                     constants=fit.effective_constants,
                 )
         self.runtime.register(runtime_name, namespaced)
-        if mode == "continuous":
-            self.runtime.rebind_bound(runtime_name, bound)
         return graph
 
     def _retarget_graph(self, graph: _SharedGraph, bound: float) -> None:
@@ -604,14 +601,14 @@ class EngineBridge:
         Open fitting windows cannot be re-fit without the raw tuples,
         so they seal at the *old* bound — those segments were promised
         to the subscribers that bound served and flow to them through
-        the normal pump — and every tuple from here on fits (and every
-        equation system solves) at the new bound.
+        the normal pump — and every tuple from here on fits at the new
+        bound.  The runtime registration and its operator state stay
+        as they are.
         """
         for stream, builder in graph.builders.items():
             for seg in builder.retarget(bound):
                 self.runtime.enqueue(graph.stream_map[stream], seg)
         graph.solve_bound = bound
-        self.runtime.rebind_bound(graph.runtime_name, bound)
         graph.retightens += 1
         self._retighten_counter.bump()
         self._pump()

@@ -200,11 +200,22 @@ class TestEquiKeyPartitions:
             j.process(seg(0, 5, "b", ap=[5.0]), port=1)
 
     def test_slack_system_comes_from_the_arrivals_partition(self):
+        from repro.engine.metrics import counter_snapshot, reset_counters
+
         j = self._symbol_join()
         j.process(seg(0, 5, "a", {"symbol": "x"}, ap=[0.0]), port=1)
         j.process(seg(0, 5, "b", {"symbol": "y"}, ap=[9.0]), port=1)
-        system = j.slack_system(seg(0, 5, "c", {"symbol": "x"}, ap=[1.0]))
+        arrival = seg(0, 5, "c", {"symbol": "x"}, ap=[1.0])
+        system = j.slack_system(arrival)
         assert system is not None and len(system.rows) == 1
+        # The second probe of the same pair is served the folded
+        # residual by the memo that ``process`` fills.
+        reset_counters()
+        again = j.slack_system(arrival)
+        lookups = counter_snapshot("memo.fold")
+        assert lookups["memo.fold.hits"] == 1
+        assert lookups["memo.fold.misses"] == 0
+        assert again.rows == system.rows
 
     def test_evict_skips_until_the_horizon_advances(self, monkeypatch):
         from repro.core.segment import SegmentBuffer

@@ -1,7 +1,7 @@
-"""The durability subsystem: WAL framing, snapshots, runtime recovery.
+"""The durability subsystem: WAL framing, snapshots, served recovery.
 
 The headline property is the replay contract: ``snapshot(k)`` + WAL
-records ``k+1..n`` must reconverge **bit-exactly** with a runtime that
+records ``k+1..n`` must reconverge **bit-exactly** with an engine that
 never died (the engine is deterministic given arrival order — the same
 property the parallel-runtime parity tests pin).  Around it, the damage
 matrix: torn tails, corrupt frames, flipped bytes, and half-written
@@ -9,10 +9,13 @@ snapshots are all skipped *with accounting*, never raised and never
 silent.
 """
 
+import itertools
 import os
 import pickle
 import random
 import struct
+from collections import defaultdict
+from dataclasses import dataclass
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.engine.durability import (
 )
 from repro.engine.metrics import get_counter, reset_counters
 from repro.engine.scheduler import QueryRuntime
+from repro.engine.tuples import StreamTuple
 from repro.engine.wal import (
     FILE_HEADER,
     FRAME_MAGIC,
@@ -41,6 +45,7 @@ from repro.engine.wal import (
     wal_last_seq,
 )
 from repro.query import parse_query, plan_query
+from repro.server.bridge import _STOP, EngineBridge, FitSpec
 
 
 @pytest.fixture(autouse=True)
@@ -435,7 +440,8 @@ class TestDurabilityCoordinator:
 
 
 # ----------------------------------------------------------------------
-# runtime checkpoint/restore parity
+# recovery: the runtime state a snapshot embeds, and crash replay
+# through the served WAL
 # ----------------------------------------------------------------------
 def make_trace(n=40, seed=11):
     rng = random.Random(seed)
@@ -444,6 +450,45 @@ def make_trace(n=40, seed=11):
     for i in range(n):
         t += rng.uniform(0.2, 0.8)
         out.append(seg(t, t + rng.uniform(0.2, 0.5), rng.uniform(-5, 5)))
+    return out
+
+
+def _filter_runtime(**kw):
+    rt = QueryRuntime(batch_size=4, **kw)
+    rt.register("pos", to_continuous_plan(planned(0)))
+    rt.register("hi", to_continuous_plan(planned(3)))
+    return rt
+
+
+def _round_trip(rt, **kw):
+    """A fresh runtime restored from ``rt``'s state, pickled as the
+    server's snapshot pickles it."""
+    reborn = QueryRuntime(batch_size=4, **kw)
+    reborn.restore_state(pickle.loads(pickle.dumps(rt.checkpoint_state())))
+    return reborn
+
+
+def make_tuples(keys, n, seed, start, attrs, key_field, knot=3, dt=0.25):
+    """``n`` raw tuples dealt round-robin over ``keys``.
+
+    Each key's attributes run piecewise linear from ``start(i, attr)``
+    (``i`` the key's index) and turn every ``knot`` of its tuples, so
+    the fitter seals a segment per key about every ``knot`` tuples.
+    """
+    rng = random.Random(seed)
+    value = {(k, a): start(i, a) for i, k in enumerate(keys) for a in attrs}
+    slope = dict.fromkeys(value, 0.0)
+    out = []
+    for i in range(n):
+        key = keys[i % len(keys)]
+        rnd = i // len(keys)
+        for attr in attrs:
+            if rnd % knot == 0:
+                slope[key, attr] = rng.uniform(-1.0, 1.0)
+            value[key, attr] += slope[key, attr] * dt
+        row = {"time": (rnd + 1) * dt, key_field: key}
+        row.update({attr: value[key, attr] for attr in attrs})
+        out.append(StreamTuple(row))
     return out
 
 
@@ -456,27 +501,6 @@ on (S.symbol = L.symbol)
 where S.ap > L.ap
 """
 
-
-def make_macd_trace(n=150, seed=5):
-    """Three symbols, each a gapless run of short linear price models."""
-    rng = random.Random(seed)
-    ends = [0.0, 0.0, 0.0]
-    out = []
-    for i in range(n):
-        k = i % 3
-        lo, hi = ends[k], ends[k] + rng.uniform(0.4, 0.9)
-        ends[k] = hi
-        out.append(
-            Segment(
-                (f"sym{k}",), lo, hi,
-                {"price": Polynomial([50.0 + 10 * k + rng.uniform(-2, 2),
-                                      rng.uniform(-0.5, 0.5)])},
-                constants={"symbol": f"sym{k}"},
-            )
-        )
-    return out
-
-
 FOLLOWING_SQL = """
 select id1, id2, avg(dist) as avg_dist from
     (select S1.id as id1, S2.id as id2,
@@ -488,36 +512,129 @@ group by id1, id2 having avg(dist) < 40
 """
 
 
-def make_vessel_trace(n=120, seed=7):
-    """Four vessels, two pairs of them close, each a gapless run of
-    short linear tracks."""
-    rng = random.Random(seed)
-    ends = [0.0] * 4
-    out = []
-    for i in range(n):
-        k = i % 4
-        lo, hi = ends[k], ends[k] + rng.uniform(0.5, 1.2)
-        ends[k] = hi
-        x0 = 100.0 * (k // 2) + 10.0 * (k % 2) + rng.uniform(-3, 3)
-        y0 = rng.uniform(-3, 3)
-        vx, vy = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        out.append(
-            Segment(
-                (f"v{k}",), lo, hi,
-                {"x": Polynomial([x0 - vx * lo, vx]),
-                 "y": Polynomial([y0 - vy * lo, vy])},
-                constants={"id": f"v{k}"},
-            )
+@dataclass(frozen=True)
+class Shape:
+    """One served workload: queries over one stream, one continuous
+    subscription per query, and its raw-tuple trace."""
+
+    queries: dict
+    stream: str
+    fit: FitSpec
+    tuples: list
+    batch: int = 30
+
+
+def filter_shape():
+    return Shape(
+        {"pos": "select * from s where x > 0",
+         "hi": "select * from s where x > 3"},
+        "s",
+        FitSpec(attrs=("x",), key_fields=("k",)),
+        make_tuples(["k"], 240, 5, lambda i, a: -1.0, ("x",), "k", knot=4),
+        batch=12,
+    )
+
+
+def macd_shape():
+    """Three symbols; about 150 segments over the trace."""
+    return Shape(
+        {"macd": MACD_SQL},
+        "trades",
+        FitSpec(attrs=("price",), key_fields=("symbol",)),
+        make_tuples(
+            ["sym0", "sym1", "sym2"], 540, 5,
+            lambda i, a: 50.0 + 10 * i, ("price",), "symbol",
+        ),
+    )
+
+
+def following_shape():
+    """Four vessels, two pairs of them close."""
+    return Shape(
+        {"follow": FOLLOWING_SQL},
+        "vessels",
+        FitSpec(attrs=("x", "y"), key_fields=("id",)),
+        make_tuples(
+            ["v0", "v1", "v2", "v3"], 480, 7,
+            lambda i, a: 100.0 * (i // 2) + 10.0 * (i % 2) if a == "x" else 0.0,
+            ("x", "y"), "id",
+        ),
+        batch=40,
+    )
+
+
+class _Deliveries:
+    """``on_outputs`` sink: each subscription's outputs, contiguous
+    from the first cursor it was delivered at."""
+
+    def __init__(self):
+        self.first: dict[int, int] = {}
+        self.outputs: dict[int, list] = defaultdict(list)
+
+    def __call__(self, subscribers, info, outputs):
+        for sub_id, cursor in subscribers:
+            self.first.setdefault(sub_id, cursor)
+            assert cursor == self.first[sub_id] + len(self.outputs[sub_id])
+            self.outputs[sub_id].extend(outputs)
+
+
+def canon(outputs):
+    return [
+        (
+            o.key,
+            o.t_start,
+            o.t_end,
+            {a: p.coeffs for a, p in sorted(o.models.items())},
+            tuple(sorted(o.constants.items())),
         )
-    return out
+        for o in outputs
+    ]
 
 
-def _assert_macd_state_is_warm(query):
+def _serve(shape, wal_dir=None, on_outputs=None, setup=True):
+    """A started bridge; with ``setup``, ``shape``'s queries are
+    registered and subscribed (subscription ``i + 1`` on query ``i``),
+    without it they come back from ``wal_dir``."""
+    bridge = EngineBridge(
+        wal_dir=None if wal_dir is None else str(wal_dir),
+        fsync_every=1,
+        on_outputs=on_outputs,
+    )
+    bridge.start()
+    if setup:
+        for sub_id, (name, sql) in enumerate(shape.queries.items(), 1):
+            bridge.register_query(name, sql, shape.fit).result()
+            bridge.subscribe(sub_id, name, "continuous", 0.05).result()
+    return bridge
+
+
+def _feed(bridge, shape, lo, hi):
+    """Ingest batches ``lo..hi-1`` of ``shape``'s trace."""
+    for b in range(lo, hi):
+        rows = shape.tuples[b * shape.batch : (b + 1) * shape.batch]
+        bridge.ingest(None, shape.stream, rows).result()
+
+
+def _crash(bridge):
+    """Stop the engine the way a killed process stops: no final
+    checkpoint, the WAL exactly as far as it was fsynced."""
+    bridge._commands.put(_STOP)
+    bridge._thread.join(timeout=10)
+    bridge._durability.close()  # releases the file; nothing is pending
+
+
+def _queries(bridge):
+    return {
+        name: reg.query for name, reg in bridge.runtime._queries.items()
+    }
+
+
+def _assert_macd_state_is_warm(queries):
     """Both windows have emitted and hold several pieces, and the join
     holds partitioned state: the snapshot carries every new container."""
     from repro.core.operators import ContinuousGroupBy, ContinuousJoin
 
-    ops = query.plan.operators()
+    ops = queries["macd~c"].plan.operators()
     aggregates = [
         agg
         for op in ops if isinstance(op, ContinuousGroupBy)
@@ -532,32 +649,150 @@ def _assert_macd_state_is_warm(query):
 
 
 class TestRuntimeRecovery:
-    def _runtime(self, tmp_path=None, queries=None, **kw):
-        dur = (
-            Durability(tmp_path, fsync_every=1) if tmp_path is not None else None
-        )
-        rt = QueryRuntime(batch_size=4, durability=dur, **kw)
-        if queries is None:
-            queries = {
-                "pos": to_continuous_plan(planned(0)),
-                "hi": to_continuous_plan(planned(3)),
-            }
-        for name, query in queries.items():
-            rt.register(name, query)
-        return rt
+    """The runtime state a snapshot embeds round-trips; and a served
+    engine killed mid-trace and restarted on its WAL directory emits,
+    from the crash on, exactly what an engine that never died emits."""
+
+    def _crash_replay(
+        self, tmp_path, shape, checkpoint_at=8, crash_at=14,
+        at_checkpoint=None,
+    ):
+        """Checkpoint after batch ``checkpoint_at``, crash after batch
+        ``crash_at``, restart, feed the rest and flush; returns each
+        subscription's post-crash outputs."""
+        batches = -(-len(shape.tuples) // shape.batch)
+        subs = range(1, len(shape.queries) + 1)
+
+        # Reference: never dies.
+        ref_out = _Deliveries()
+        ref = _serve(shape, on_outputs=ref_out)
+        _feed(ref, shape, 0, crash_at)
+        at_crash = {s: len(ref_out.outputs[s]) for s in subs}
+        _feed(ref, shape, crash_at, batches)
+        ref.flush().result()
+        ref.stop()
+
+        victim = _serve(shape, tmp_path)
+        _feed(victim, shape, 0, checkpoint_at)
+        if at_checkpoint is not None:
+            victim.submit(lambda: at_checkpoint(_queries(victim))).result()
+        victim.checkpoint().result()
+        _feed(victim, shape, checkpoint_at, crash_at)
+        _crash(victim)
+
+        got = _Deliveries()
+        reborn = _serve(shape, tmp_path, on_outputs=got, setup=False)
+        report = reborn.recovery_report
+        # WAL records: one register and one subscribe per query, then
+        # one per ingest batch.
+        setup = 2 * len(shape.queries)
+        assert report["snapshot_seq"] == setup + checkpoint_at
+        assert report["replayed"] == crash_at - checkpoint_at
+        assert report["recovered_seq"] == setup + crash_at
+        assert reborn.ingest_tuples == crash_at * shape.batch
+        assert got.outputs == {}  # replayed outputs are not re-delivered
+        stats = reborn.stats().result()
+        assert {
+            int(s): v["cursor"] for s, v in stats["subscriptions"].items()
+        } == at_crash
+        _feed(reborn, shape, crash_at, batches)
+        reborn.flush().result()
+        reborn.stop()
+
+        for s in subs:
+            assert canon(got.outputs[s]) == canon(
+                ref_out.outputs[s][at_crash[s]:]
+            )
+            assert got.first[s] == at_crash[s]
+        assert dict(reborn.runtime.stats()) == dict(ref.runtime.stats())
+        return got.outputs
+
+    def test_queued_arrivals_survive_checkpoint(self):
+        # Checkpoint with items still queued: the state carries the
+        # queues, and the restored runtime processes them.
+        victim = _filter_runtime()
+        for item in make_trace(n=6):
+            victim.enqueue("s", item)
+        reborn = _round_trip(victim)
+        assert reborn.total_pending == 12  # six arrivals, two queries
+        reborn.run_until_idle()
+        stats = dict(reborn.stats())
+        assert stats["pos"] == 6 and stats["hi"] == 6
+
+    def test_breaker_state_round_trips_through_snapshot(self):
+        from repro.engine.resilience import BreakerConfig, BreakerState
+
+        config = BreakerConfig(failure_threshold=2, backoff=4)
+        victim = _filter_runtime(breaker=config)
+        victim.breaker.record_failure("pos", ("k",))
+        victim.breaker.record_failure("pos", ("k",))
+        assert victim.breaker.state("pos", ("k",)) is BreakerState.OPEN
+
+        reborn = _round_trip(victim, breaker=config)
+        assert reborn.breaker.state("pos", ("k",)) is BreakerState.OPEN
+
+    def test_restore_rejects_unknown_snapshot_version(self):
+        rt = _filter_runtime()
+        state = rt.checkpoint_state()
+        state["version"] = 99
+        with pytest.raises(PlanError):
+            rt.restore_state(state)
+
+    def test_restore_reads_a_state_carrying_retired_keys(self):
+        """A state written before the runtime lost its own WAL and its
+        copy of the solve bound carries ``counters["ingest_seq"]`` and a
+        per-registration ``solve_bound``: the same version, restored
+        with both keys ignored."""
+        victim = _filter_runtime()
+        trace = make_trace(n=8)
+        for item in trace[:4]:
+            victim.enqueue("s", item)
+        victim.run_until_idle()
+        state = victim.checkpoint_state()
+        state["counters"]["ingest_seq"] = 4
+        for entry in state["registrations"]:
+            entry["solve_bound"] = 0.05
+
+        reborn = QueryRuntime(batch_size=4)
+        reborn.restore_state(pickle.loads(pickle.dumps(state)))
+        for rt in (victim, reborn):
+            for item in trace[4:]:
+                rt.enqueue("s", item)
+            rt.run_until_idle()
+        for name in victim.query_names:
+            assert [
+                (o.t_start, o.t_end) for o in reborn.outputs(name)
+            ] == [(o.t_start, o.t_end) for o in victim.outputs(name)]
+        assert dict(reborn.stats()) == dict(victim.stats())
+
+    def test_segment_ids_never_collide_after_restore(self, monkeypatch):
+        from repro.core import segment
+
+        victim = _filter_runtime()
+        for item in make_trace(n=5):
+            victim.enqueue("s", item)
+        victim.run_until_idle()
+        state = victim.checkpoint_state()
+        restored_ids = {out.seg_id for out in victim.outputs("pos")}
+
+        # A new process numbers segments from 1 until a restore.
+        monkeypatch.setattr(segment, "_segment_ids", itertools.count(1))
+        QueryRuntime().restore_state(state)
+        fresh = seg(100.0, 101.0, 1.0)
+        assert fresh.seg_id > max(restored_ids)
 
     def test_checkpoint_without_durability_raises(self):
-        rt = self._runtime()
-        with pytest.raises(PlanError):
-            rt.checkpoint()
-        with pytest.raises(PlanError):
-            rt.restore()
+        bridge = EngineBridge()
+        bridge.start()
+        try:
+            with pytest.raises(PlanError):
+                bridge.checkpoint().result()
+        finally:
+            bridge.stop()
 
     def test_crash_replay_is_bit_exact(self, tmp_path):
-        """The fold memos keep their entries but rebind counter handles:
-        a restored runtime must still reconverge with a never-died
-        reference."""
-        self._crash_replay(tmp_path)
+        outputs = self._crash_replay(tmp_path, filter_shape())
+        assert outputs[1] and outputs[2]
 
     def test_crash_replay_of_warm_window_and_join_state_is_bit_exact(
         self, tmp_path
@@ -565,38 +800,24 @@ class TestRuntimeRecovery:
         """The MACD shape: the checkpoint lands while both sliding
         windows are full and the join's partitions are populated, so
         the ordered containers (and the indexes rebuilt on load) carry
-        the reborn runtime through 30 more arrivals."""
-
-        def queries():
-            return {
-                "macd": to_continuous_plan(plan_query(parse_query(MACD_SQL)))
-            }
-
+        the reborn engine through the rest of the trace."""
         outputs = self._crash_replay(
-            tmp_path, queries, make_macd_trace(), "trades",
-            checkpoint_at=90, crash_at=120,
-            at_checkpoint=lambda qs: _assert_macd_state_is_warm(qs["macd"]),
+            tmp_path, macd_shape(), checkpoint_at=10, crash_at=14,
+            at_checkpoint=_assert_macd_state_is_warm,
         )
-        assert len(outputs["macd"]) > 10
+        assert len(outputs[1]) > 10
 
     def test_crash_replay_of_a_rewritten_self_join_is_bit_exact(
         self, tmp_path
     ):
         """The "following" shape runs as one buffer, group states shared
         by mirror groups and a mirror output stage: the checkpoint lands
-        with all of them populated, and the reborn runtime emits the
+        with all of them populated, and the reborn engine emits the
         never-died reference's rows, twins included."""
         from repro.core.operators import ContinuousGroupBy, SymmetricSelfJoin
 
-        def queries():
-            return {
-                "follow": to_continuous_plan(
-                    plan_query(parse_query(FOLLOWING_SQL))
-                )
-            }
-
-        def warm(qs):
-            ops = qs["follow"].plan.operators()
+        def warm(queries):
+            ops = queries["follow~c"].plan.operators()
             (join,) = [op for op in ops if isinstance(op, SymmetricSelfJoin)]
             (groups,) = [op for op in ops if isinstance(op, ContinuousGroupBy)]
             assert join.state_size > 4
@@ -604,10 +825,10 @@ class TestRuntimeRecovery:
             assert groups.group_count == 6
 
         outputs = self._crash_replay(
-            tmp_path, queries, make_vessel_trace(), "vessels",
-            checkpoint_at=60, crash_at=90, at_checkpoint=warm,
+            tmp_path, following_shape(), checkpoint_at=6, crash_at=9,
+            at_checkpoint=warm,
         )
-        keys = {r.key for r in outputs["follow"]}
+        keys = {r.key for r in outputs[1]}
         assert {("v0", "v1"), ("v2", "v3")} <= keys
         assert {key[::-1] for key in keys} == keys
 
@@ -619,170 +840,54 @@ class TestRuntimeRecovery:
         the WAL tail — no exception from foreign state mid-replay."""
         from repro.engine import durability
 
-        trace = make_trace(n=12)
-        victim = self._runtime(tmp_path)
-        for item in trace[:6]:
-            victim.enqueue("s", item)
-        victim.run_until_idle()
-        victim.checkpoint()
-        for item in trace[6:]:
-            victim.enqueue("s", item)
-        victim.run_until_idle()
-        victim._durability.wal.sync()
+        shape = filter_shape()
+        victim = _serve(shape, tmp_path)
+        _feed(victim, shape, 0, 4)
+        victim.checkpoint().result()  # at seq 8
+        _feed(victim, shape, 4, 10)
+        _crash(victim)
         monkeypatch.setattr(durability, "SNAPSHOT_VERSION", 1)
-        write_snapshot(tmp_path, 9, _ExplodesOnUnpickle())
+        write_snapshot(tmp_path, 11, _ExplodesOnUnpickle())
         monkeypatch.undo()
 
-        reborn = self._runtime(tmp_path)
-        report = reborn.restore()
+        reborn = _serve(shape, tmp_path, setup=False)
+        report = reborn.recovery_report
+        reborn.stop()
         assert get_counter("recovery.bad_snapshots").value == 1
-        assert (report.snapshot_seq, report.replayed) == (6, 6)
-        assert reborn.ingest_seq == 12
-
-    def _crash_replay(
-        self, tmp_path, queries=lambda: None, trace=None, stream="s",
-        checkpoint_at=15, crash_at=27, at_checkpoint=None,
-    ):
-        trace = make_trace() if trace is None else trace
-
-        # Reference: never dies; drain outputs at the crash boundary so
-        # only post-crash outputs are compared (replay discards its own).
-        ref = self._runtime(queries=queries())
-        for item in trace[:crash_at]:
-            ref.enqueue(stream, item)
-        ref.run_until_idle()
-        for name in ref.query_names:
-            ref.outputs(name)  # drain
-        for item in trace[crash_at:]:
-            ref.enqueue(stream, item)
-        ref.run_until_idle()
-        ref_outputs = {n: ref.outputs(n) for n in ref.query_names}
-        ref_stats = dict(ref.stats())
-
-        # Victim: checkpoint mid-stream, then die without closing.
-        victim_queries = queries()
-        victim = self._runtime(tmp_path, queries=victim_queries)
-        for item in trace[:checkpoint_at]:
-            victim.enqueue(stream, item)
-        victim.run_until_idle()
-        if at_checkpoint is not None:
-            at_checkpoint(victim_queries)
-        victim.checkpoint()
-        for item in trace[checkpoint_at:crash_at]:
-            victim.enqueue(stream, item)
-        victim.run_until_idle()
-        victim._durability.wal.sync()  # simulate durable-at-crash tail
-
-        # Reborn process: restore, then feed the rest of the trace.
-        reborn = self._runtime(tmp_path, queries=queries())
-        report = reborn.restore()
-        assert report.snapshot_seq == checkpoint_at
-        assert report.replayed == crash_at - checkpoint_at
-        assert report.recovered_seq == crash_at
-        assert reborn.ingest_seq == crash_at
-        for item in trace[crash_at:]:
-            reborn.enqueue(stream, item)
-        reborn.run_until_idle()
-
-        for name in ref_outputs:
-            got = reborn.outputs(name)
-            assert len(got) == len(ref_outputs[name])
-            for a, b in zip(got, ref_outputs[name]):
-                assert a.key == b.key
-                assert a.t_start == b.t_start and a.t_end == b.t_end
-                assert {
-                    k: p.coeffs for k, p in a.models.items()
-                } == {k: p.coeffs for k, p in b.models.items()}
-        # Row-solve bookkeeping reconciles: per-query processed counts
-        # match the never-died reference exactly.
-        assert dict(reborn.stats()) == ref_stats
-        reborn.close()
-        ref.close()
-        return ref_outputs
+        assert (report["snapshot_seq"], report["replayed"]) == (8, 6)
+        assert report["recovered_seq"] == 14
 
     def test_restore_from_genesis_replays_everything(self, tmp_path):
-        trace = make_trace(n=10)
-        victim = self._runtime(tmp_path)
-        for item in trace:
-            victim.enqueue("s", item)
-        victim.run_until_idle()
-        victim._durability.wal.sync()
+        shape = filter_shape()
+        victim = _serve(shape, tmp_path)
+        _feed(victim, shape, 0, 5)
+        _crash(victim)
 
-        reborn = self._runtime(tmp_path)
-        report = reborn.restore()
-        assert report.snapshot_seq == 0
-        assert report.replayed == 10
-        # Replay outputs are discarded — delivered-or-lost at crash.
-        assert reborn.outputs("pos") == []
-        assert reborn.ingest_seq == 10
+        got = _Deliveries()
+        reborn = _serve(shape, tmp_path, on_outputs=got, setup=False)
+        report = reborn.recovery_report
+        stats = reborn.stats().result()
+        reborn.stop()
+        assert report["snapshot_seq"] == 0
+        assert report["replayed"] == 4 + 5
+        assert reborn.ingest_tuples == 5 * shape.batch
+        assert stats["subscriptions"]["1"]["cursor"] > 0
+        # Replay outputs are not delivered: delivered-or-lost at crash.
+        assert got.outputs == {}
 
     def test_torn_tail_recovery_never_crashes(self, tmp_path):
-        trace = make_trace(n=12)
-        victim = self._runtime(tmp_path)
-        for item in trace:
-            victim.enqueue("s", item)
-        victim._durability.wal.sync()
-        (name,) = [n for n in os.listdir(tmp_path) if n.endswith(".log")]
+        shape = filter_shape()
+        victim = _serve(shape, tmp_path)
+        _feed(victim, shape, 0, 8)
+        _crash(victim)
+        (name,) = wal_files(tmp_path)
         path = tmp_path / name
         path.write_bytes(path.read_bytes()[:-7])
 
-        reborn = self._runtime(tmp_path)
-        report = reborn.restore()
-        assert report.wal_stats.torn_tails == 1
-        assert report.replayed == 11  # the torn record is lost, counted
-        assert report.recovered_seq == 11
-
-    def test_queued_arrivals_survive_checkpoint(self, tmp_path):
-        # Checkpoint with items still queued: the snapshot carries the
-        # queues, and restore resumes processing them.
-        victim = self._runtime(tmp_path)
-        for item in make_trace(n=6):
-            victim.enqueue("s", item)
-        victim.checkpoint()  # nothing processed yet
-
-        reborn = self._runtime(tmp_path)
-        reborn.restore()
-        # Queues restored and drained to idle during restore.
-        assert reborn.total_pending == 0
-        stats = dict(reborn.stats())
-        assert stats["pos"] == 6 and stats["hi"] == 6
-
-    def test_breaker_state_round_trips_through_snapshot(self, tmp_path):
-        from repro.engine.resilience import BreakerConfig, BreakerState
-
-        victim = self._runtime(
-            tmp_path, breaker=BreakerConfig(failure_threshold=2, backoff=4)
-        )
-        victim.breaker.record_failure("pos", ("k",))
-        victim.breaker.record_failure("pos", ("k",))
-        assert victim.breaker.state("pos", ("k",)) is BreakerState.OPEN
-        victim.checkpoint()
-
-        reborn = self._runtime(
-            tmp_path, breaker=BreakerConfig(failure_threshold=2, backoff=4)
-        )
-        reborn.restore()
-        assert reborn.breaker.state("pos", ("k",)) is BreakerState.OPEN
-
-    def test_restore_rejects_unknown_snapshot_version(self, tmp_path):
-        rt = self._runtime(tmp_path)
-        state = rt.checkpoint_state()
-        state["version"] = 99
-        with pytest.raises(PlanError):
-            rt.restore_state(state)
-
-    def test_segment_ids_never_collide_after_restore(self, tmp_path):
-        victim = self._runtime(tmp_path)
-        items = make_trace(n=5)
-        for item in items:
-            victim.enqueue("s", item)
-        victim.run_until_idle()
-        victim.checkpoint()
-        restored_ids = {
-            out.seg_id for out in victim.outputs("pos")
-        }
-
-        reborn = self._runtime(tmp_path)
-        reborn.restore()
-        fresh = seg(100.0, 101.0, 1.0)
-        assert fresh.seg_id not in restored_ids
+        reborn = _serve(shape, tmp_path, setup=False)
+        report = reborn.recovery_report
+        reborn.stop()
+        assert report["wal"]["torn_tails"] == 1
+        # The torn batch is lost, and counted.
+        assert report["replayed"] == report["recovered_seq"] == 4 + 7
+        assert reborn.ingest_tuples == 7 * shape.batch

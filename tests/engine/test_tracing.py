@@ -56,28 +56,25 @@ def _events(rows_per_key=3, keys=("a", "b")):
 def _run_runtime(budget_s=None, events=None):
     reset_counters()
     rt = QueryRuntime(slow_solve_budget_s=budget_s)
-    try:
-        rt.register(
-            "filt",
-            to_continuous_plan(
-                plan_query(parse_query("select * from ticks where x > 0"))
-            ),
-        )
-        rt.register(
-            "join",
-            to_continuous_plan(
-                plan_query(parse_query(
-                    "select from ticks T join quotes Q "
-                    "on (T.sym = Q.sym and T.x > Q.y)"
-                ))
-            ),
-        )
-        for stream, seg in events or _events():
-            rt.enqueue(stream, seg)
-        rt.run_until_idle()
-        return [rt.outputs(n) for n in rt.query_names], rt
-    finally:
-        rt.close()
+    rt.register(
+        "filt",
+        to_continuous_plan(
+            plan_query(parse_query("select * from ticks where x > 0"))
+        ),
+    )
+    rt.register(
+        "join",
+        to_continuous_plan(
+            plan_query(parse_query(
+                "select from ticks T join quotes Q "
+                "on (T.sym = Q.sym and T.x > Q.y)"
+            ))
+        ),
+    )
+    for stream, seg in events or _events():
+        rt.enqueue(stream, seg)
+    rt.run_until_idle()
+    return [rt.outputs(n) for n in rt.query_names], rt
 
 
 # ----------------------------------------------------------------------

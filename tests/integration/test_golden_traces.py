@@ -83,14 +83,11 @@ def run_traced_scenario(sql: str, trace_path) -> list[dict]:
     consumed = set(planned.stream_sources)
     with tracing.observability(str(trace_path)):
         rt = QueryRuntime()
-        try:
-            rt.register("q", to_continuous_plan(planned))
-            for stream, seg in _trace_events():
-                if stream in consumed:
-                    rt.enqueue(stream, seg)
-            rt.run_until_idle()
-        finally:
-            rt.close()
+        rt.register("q", to_continuous_plan(planned))
+        for stream, seg in _trace_events():
+            if stream in consumed:
+                rt.enqueue(stream, seg)
+        rt.run_until_idle()
     spans = read_trace(trace_path)
     build_span_tree(spans)  # every golden trace must be a valid tree
     return [normalize(s.to_record()) for s in spans]

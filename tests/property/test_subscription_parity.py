@@ -179,52 +179,47 @@ def run_oracle(events):
             rt.enqueue(STREAM, seg)
         deliver()
 
-    try:
-        for ev in events:
-            if ev[0] == "sub":
-                bound = ev[1]
-                if rt is None:
-                    rt = QueryRuntime(breaker=_breaker())
-                    rt.register("q", to_continuous_plan(planned))
-                    builder = StreamModelBuilder(
-                        FIT.attrs,
-                        bound,
-                        key_fields=FIT.key_fields,
-                        constants=FIT.effective_constants,
-                    )
-                elif bound < builder.tolerance:
-                    # seal at the old bound for the existing subs,
-                    # then admit the tighter newcomer
-                    retarget(bound)
-                active.append((next_id, bound))
-                next_id += 1
-            elif ev[0] == "unsub":
-                if not active:
-                    continue
-                _sid, bound = active.pop(ev[1] % len(active))
-                if not active:
-                    rt.close()
-                    rt = None
-                    builder = None
-                elif bound == builder.tolerance:
-                    remaining = min(b for _s, b in active)
-                    if remaining != builder.tolerance:
-                        retarget(remaining)
-            elif ev[0] == "flush":
-                if rt is not None:
-                    for seg in builder.finish():
-                        rt.enqueue(STREAM, seg)
-                    deliver()
-            else:
-                if rt is None:
-                    continue  # no consumer: the bridge drops these too
-                for d in ev[1]:
-                    for seg in builder.add(StreamTuple(d)):
-                        rt.enqueue(STREAM, seg)
+    for ev in events:
+        if ev[0] == "sub":
+            bound = ev[1]
+            if rt is None:
+                rt = QueryRuntime(breaker=_breaker())
+                rt.register("q", to_continuous_plan(planned))
+                builder = StreamModelBuilder(
+                    FIT.attrs,
+                    bound,
+                    key_fields=FIT.key_fields,
+                    constants=FIT.effective_constants,
+                )
+            elif bound < builder.tolerance:
+                # seal at the old bound for the existing subs,
+                # then admit the tighter newcomer
+                retarget(bound)
+            active.append((next_id, bound))
+            next_id += 1
+        elif ev[0] == "unsub":
+            if not active:
+                continue
+            _sid, bound = active.pop(ev[1] % len(active))
+            if not active:
+                rt = None
+                builder = None
+            elif bound == builder.tolerance:
+                remaining = min(b for _s, b in active)
+                if remaining != builder.tolerance:
+                    retarget(remaining)
+        elif ev[0] == "flush":
+            if rt is not None:
+                for seg in builder.finish():
+                    rt.enqueue(STREAM, seg)
                 deliver()
-    finally:
-        if rt is not None:
-            rt.close()
+        else:
+            if rt is None:
+                continue  # no consumer: the bridge drops these too
+            for d in ev[1]:
+                for seg in builder.add(StreamTuple(d)):
+                    rt.enqueue(STREAM, seg)
+            deliver()
     return {sid: canon(outs) for sid, outs in delivered.items()}
 
 
