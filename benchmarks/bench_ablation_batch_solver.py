@@ -3,9 +3,9 @@
 A mixed-degree batch of difference rows solved through the stacked
 companion-matrix kernel (``solve_relation_batch``: one ``eigvals`` call
 per degree bucket, vectorized Newton polish, matrix sign tests) versus
-the scalar reference, a ``solve_relation`` loop.  Output parity is
-exact — the kernel must emit *identical* TimeSets, so the speedup is
-free of semantic drift.
+the scalar reference, a ``solve_relation`` loop from ``tests/oracles.py``.
+Output parity is exact — the kernel must emit *identical* TimeSets, so
+the speedup is free of semantic drift.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the batch for CI smoke runs (the parity
 assertion still holds; the 2x speedup floor is only asserted at full
@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).parent))
+sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent)]
 from harness import record_result  # noqa: E402
+from tests.oracles import solve_relation  # noqa: E402
 
 from repro.core.batch_solver import solve_relation_batch
 from repro.core.polynomial import Polynomial
 from repro.core.relation import Rel
-from repro.core.roots import solve_relation
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 

@@ -38,7 +38,7 @@ import numpy as np
 
 sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent)]
 from harness import record_result  # noqa: E402
-from tests.oracles import companion_roots_rows  # noqa: E402
+from tests.oracles import brent, companion_roots_rows, real_roots  # noqa: E402
 
 from repro.core.batch_solver import (
     _stacked_companion_eigvals_impl,
@@ -47,7 +47,6 @@ from repro.core.batch_solver import (
 )
 from repro.core.closed_form import cubic_candidates, quartic_candidates
 from repro.core.polynomial import Polynomial
-from repro.core.roots import brent, real_roots
 
 DOMAIN = (0.0, 10.0)
 GRID = 64

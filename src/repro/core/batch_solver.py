@@ -1,11 +1,12 @@
-"""Batched companion-matrix solver kernel (the solver hot path, batched).
+"""Batched companion-matrix solver kernel: the engine's one root solver.
 
 Root finding is Pulse's hot path: every selective operator reduces to
 solving difference rows ``d_i(t) R_i 0`` (Section III-A), and a single
-join probe can instantiate dozens of byte-similar systems at once.  The
-scalar path in :mod:`repro.core.roots` pays one ``np.roots`` LAPACK
-round-trip plus a Python-level Newton polish *per row*.  This module
-solves many rows in one sweep:
+join probe can instantiate dozens of byte-similar systems at once.
+Filters, joins, equality systems and the min/max envelope all solve
+through this module.  A row-at-a-time solver would pay one ``np.roots``
+LAPACK round-trip plus a Python-level Newton polish *per row*; this
+module solves many rows in one sweep:
 
 * rows are **degree-bucketed** and their companion matrices stacked into
   one 3-D array, so all eigenvalues of a bucket come from a single
@@ -18,13 +19,12 @@ solves many rows in one sweep:
   instead of per-row Horner loops.
 
 The kernel is built for *parity*: every arithmetic step reproduces the
-scalar path's operation sequence exactly (padded Horner is bit-identical
-to unpadded Horner for finite arguments, and the stacked eigensolver
-applies the same LAPACK kernel per matrix), so batched and scalar solves
-return identical :class:`TimeSet` objects.  ``tests/property/
-test_batch_solver_parity.py`` enforces this against the scalar
-reference (``roots.real_roots`` / ``roots.solve_relation``, see
-``tests/oracles.py``).
+operation sequence of the scalar row-at-a-time reference in
+``tests/oracles.py`` (``real_roots`` / ``solve_relation``) exactly —
+padded Horner is bit-identical to unpadded Horner for finite arguments,
+and the stacked eigensolver applies the same LAPACK kernel per matrix —
+so both return identical :class:`TimeSet` objects.  ``tests/property/
+test_batch_solver_parity.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .roots import (
     check_coefficients,
 )
 
-#: Newton tolerance, matching :func:`repro.core.roots.newton`'s default.
+#: Newton tolerance, matching the scalar reference ``newton``'s default.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
@@ -210,7 +210,7 @@ def vandermonde_values(matrix: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def _newton_polish_batch(
     coeffs: np.ndarray, x0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Newton–Raphson mirroring :func:`repro.core.roots.newton`.
+    """Vectorized Newton–Raphson mirroring the scalar reference ``newton``.
 
     ``coeffs`` holds one padded ascending coefficient row per candidate;
     ``x0`` the starting points.  Returns ``(x, ok)`` where ``ok[i]`` is
@@ -288,17 +288,17 @@ def real_roots_batch(
     items: Sequence[tuple[Polynomial, float, float]],
     failures: dict[int, SolverError] | None = None,
 ) -> list[list[float]]:
-    """Batched :func:`repro.core.roots.real_roots` over many polynomials.
+    """All real roots of each polynomial within its ``[lo, hi]``, sorted.
 
     Each item is ``(poly, lo, hi)``.  Degree <= 2 rows use the closed
     forms; higher degrees share stacked companion-matrix eigensolves
     (bucketed by effective degree) and one vectorized Newton polish
     across every candidate root of every row.
 
-    Guardrails mirror the scalar path: zero polynomials, non-finite or
-    absurd coefficients and over-budget degrees fail with the same typed
-    :class:`SolverFailure` the scalar :func:`~repro.core.roots.real_roots`
-    raises.  When ``failures`` is given, per-item failures are recorded
+    Roots are deduplicated; a root of even multiplicity appears once.
+    Zero polynomials (uncountably many roots), non-finite or absurd
+    coefficients and over-budget degrees fail with a typed
+    :class:`SolverFailure`.  When ``failures`` is given, per-item failures are recorded
     there (the item's result slot stays ``[]``) instead of raised, so one
     poisoned row cannot sink the whole batch; when a stacked eigensolve
     fails, the bucket falls back row by row so only the offending row is
@@ -321,8 +321,7 @@ def real_roots_rows(
     ``rows`` holds ``(coeffs, lo, hi)`` with *trimmed ascending*
     coefficient tuples (exactly :attr:`Polynomial.coeffs` semantics: no
     exactly-zero leading entries, the zero polynomial is ``(0.0,)``).
-    The scalar :func:`~repro.core.roots.real_roots` hands cubics and
-    quartics here as one-row batches.  The result of each row is
+    The result of each row is
     *partition-invariant*: degree bucketing stacks independent
     companion matrices (the eigensolver gufunc loops per matrix) and the
     Newton polish is element-wise, so solving a row inside a pooled
@@ -398,7 +397,7 @@ def _real_roots_rows_impl(
             needs_polish.add(j)
             desc = list(reversed(c))
             # np.roots semantics: exact trailing zeros factor out as
-            # roots at t = 0 (the scalar path polishes them too).
+            # roots at t = 0 (the scalar reference polishes them too).
             while desc[-1] == 0.0 and len(desc) > 1:
                 desc.pop()
                 candidates[j].append(0.0)
@@ -489,8 +488,9 @@ def _real_roots_rows_impl(
                 float(v) for v, r in zip(final[mask], residual[mask]) if r <= bound
             ]
 
-    # Scalar post-processing: finite filter, sort, dedupe, domain pad —
-    # verbatim from real_roots so the output multiset is identical.
+    # Per-row post-processing: finite filter, sort, dedupe, domain pad —
+    # verbatim from the scalar reference, so the output multiset is
+    # identical.
     out: list[list[float]] = []
     for j, (_, lo, hi) in enumerate(rows):
         roots = [r for r in candidates[j] if math.isfinite(r)]
@@ -512,11 +512,11 @@ def solve_relation_batch(
     tasks: Sequence[SolveTask],
     failures: dict[int, SolverError] | None = None,
 ) -> list[TimeSet]:
-    """Batched :func:`repro.core.roots.solve_relation` over many rows.
+    """Solve each ``poly(t) R 0`` over its half-open domain ``[lo, hi)``.
 
-    Returns one :class:`TimeSet` per task, identical to what the scalar
-    path produces for the same ``(poly, rel, lo, hi)`` — including the
-    typed :class:`SolverFailure` guardrails.  With a ``failures`` dict,
+    Returns one :class:`TimeSet` per task: intervals where an inequality
+    holds, and isolated points for ``=`` (Section III-C), with the typed
+    :class:`SolverFailure` guardrails.  With a ``failures`` dict,
     per-task failures are recorded (result slot ``TimeSet.empty()``)
     instead of raised.
     """
@@ -610,8 +610,8 @@ def solve_relation_batch(
                 midpoint_values[(slot, t)] = float(values[k])
             else:
                 # Padded Horner is only Horner-exact for finite t;
-                # infinite-domain midpoints fall back to the scalar
-                # evaluation the sequential path would have used.
+                # infinite-domain midpoints fall back to the row's own
+                # scalar evaluation.
                 midpoint_values[(slot, t)] = tasks[pending[slot]][0](t)
 
     slot_of = {i: slot for slot, i in enumerate(pending)}
@@ -641,9 +641,10 @@ def solve_tasks(
 ) -> list[TimeSet]:
     """Solve many difference rows in one kernel sweep.
 
-    This is the single funnel every row solve goes through: the fault
-    hook (if any) sees each task, then the batched kernel solves the
-    rest.  With a ``failures`` dict, a failed task's typed error is
+    This is the single funnel every relation-row solve goes through —
+    filter, join and min/max rows alike (the equality fast path applies
+    the same fault hook itself): the fault hook (if any) sees each task,
+    then the batched kernel solves the rest.  With a ``failures`` dict, a failed task's typed error is
     recorded under its index (result slot ``TimeSet.empty()``) instead
     of raised.
     """

@@ -45,10 +45,11 @@ eigensolve for exactly those rows.
 Every operation is an elementwise ufunc (no reductions), so a row's
 candidates are independent of which batch it rides in — the same
 partition-invariance argument the stacked eigensolver makes.  The
-scalar path funnels degree-3/4 rows through this very kernel with a
-one-row batch, which is what makes scalar and batched solves bit
--identical by construction (``tests/property/test_closed_form.py``
-additionally pins the lane-consistency of the ufuncs involved).
+scalar reference in ``tests/oracles.py`` funnels degree-3/4 rows
+through this very kernel with a one-row batch, which is what makes it
+and the batched solves bit-identical by construction
+(``tests/property/test_closed_form.py`` additionally pins the
+lane-consistency of the ufuncs involved).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _stable_quadratic_batch(
     discriminant's absolute error tracks those magnitudes rather than
     the cancelled results.  The larger-magnitude
     root is computed first via the copysign trick and the other from
-    the product of roots, exactly like the scalar
+    the product of roots, exactly like the kernel's degree-2 rung
     :func:`repro.core.roots._quadratic_roots`.
     """
     disc = b * b - 4.0 * c

@@ -33,6 +33,7 @@ from .batch_solver import (
     SOLVER_CONFIG,
     SolveTask,
     fault_hook,
+    real_roots_rows,
     solve_tasks,
     vandermonde_values,
 )
@@ -42,7 +43,7 @@ from .intervals import Interval, TimeSet
 from .polynomial import Polynomial
 from .predicate import And, BoolExpr, Comparison, Literal, Not, Or, normalize
 from .relation import Rel
-from .roots import check_coefficients, real_roots
+from .roots import check_coefficients
 
 
 # ----------------------------------------------------------------------
@@ -159,32 +160,16 @@ class EquationSystem:
     class attribute, made resettable and shared with the memo stats).
     """
 
-    def __init__(
-        self,
-        rows: Sequence[DifferenceRow],
-        structure: _Node,
-        equality_strategy: str = "gaussian",
-    ):
-        if equality_strategy not in ("gaussian", "svd"):
-            raise SolverError(
-                f"unknown equality strategy {equality_strategy!r}"
-            )
+    def __init__(self, rows: Sequence[DifferenceRow], structure: _Node):
         self.rows = tuple(rows)
         self._structure = structure
-        #: How all-equality systems are pre-processed: "gaussian"
-        #: row-reduces D; "svd" uses the singular value decomposition for
-        #: rank/consistency analysis (both named in Section III-A).
-        self.equality_strategy = equality_strategy
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_predicate(
-        cls,
-        predicate: BoolExpr,
-        resolve: ModelResolver,
-        equality_strategy: str = "gaussian",
+        cls, predicate: BoolExpr, resolve: ModelResolver
     ) -> "EquationSystem":
         """Compile a (normalized or raw) predicate against segment models.
 
@@ -210,7 +195,7 @@ class EquationSystem:
             raise SolverError(f"unsupported predicate node {node!r}")
 
         structure = build(predicate)
-        return cls(rows, structure, equality_strategy=equality_strategy)
+        return cls(rows, structure)
 
     # ------------------------------------------------------------------
     # inspection
@@ -342,15 +327,13 @@ class EquationSystem:
         return walk(self._structure)
 
     def _solve_equality_system(self, lo: float, hi: float) -> TimeSet:
-        """Fast path for pure equality systems (Gaussian or SVD).
+        """Fast path for pure equality systems.
 
-        Both strategies pre-analyze the coefficient matrix ``D`` before
-        any root finding, as Section III-A suggests for natural/equi
-        joins: Gaussian elimination row-reduces ``D`` to detect
-        inconsistency and isolate a minimal-degree residual row; the SVD
-        variant reads rank and consistency from the singular values.
-        Candidates from the selected row are verified against every
-        original row.
+        Pre-analyzes the coefficient matrix ``D`` before any root
+        finding, as Section III-A suggests for natural/equi joins:
+        Gaussian elimination row-reduces ``D`` to detect inconsistency
+        and isolate a minimal-degree residual row, whose roots are then
+        verified against every original row.
         """
         row_solve_counter().bump()
         hook = fault_hook()
@@ -361,11 +344,7 @@ class EquationSystem:
                 if replacement is not None:
                     task = replacement
             check_coefficients(task[0].coeffs)
-        matrix = self.coefficient_matrix()
-        if self.equality_strategy == "svd":
-            candidate_poly = self._svd_candidate(matrix)
-        else:
-            candidate_poly = self._gaussian_candidate(matrix)
+        candidate_poly = self._gaussian_candidate(self.coefficient_matrix())
         if candidate_poly is _INCONSISTENT:
             return TimeSet.empty()
         if candidate_poly is None:
@@ -373,9 +352,10 @@ class EquationSystem:
             return TimeSet.interval(lo, hi)
         scale = max(abs(c) for r in self.rows for c in r.poly.coeffs)
         tol = 1e-7 * max(1.0, scale)
+        (roots,) = real_roots_rows([(candidate_poly.coeffs, lo, hi)])
         points = [
             r
-            for r in real_roots(candidate_poly, lo, hi)
+            for r in roots
             if lo <= r < hi
             and all(abs(row.poly(r)) <= tol for row in self.rows)
         ]
@@ -393,43 +373,6 @@ class EquationSystem:
             if candidate is None or poly.degree < candidate.degree:
                 candidate = poly
         return candidate
-
-    def _svd_candidate(self, matrix: np.ndarray) -> "Polynomial | None":
-        """SVD-based pre-analysis of the equality system.
-
-        Rank 0 means the system holds everywhere.  A right-singular
-        direction concentrated on the constant column (i.e. the row
-        space contains a pure-constant equation) means inconsistency.
-        Otherwise the densest row of the rank-truncated row space serves
-        as the candidate equation.
-        """
-        scale = np.max(np.abs(matrix))
-        if scale == 0.0:
-            return None
-        u, s, vt = np.linalg.svd(matrix)
-        rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
-        if rank == 0:
-            return None
-        # Row space basis: the first `rank` right-singular vectors.
-        for basis_row in vt[:rank]:
-            # A basis vector supported only on the constant term encodes
-            # the equation "c = 0" with c != 0: inconsistent.
-            if abs(basis_row[0]) > 1e-9 and np.all(
-                np.abs(basis_row[1:]) <= 1e-12 * abs(basis_row[0])
-            ):
-                return _INCONSISTENT
-        # Prefer the basis equation of minimal degree (fewest trailing
-        # non-zeros) for cheap root finding.
-        best: Polynomial | None = None
-        for basis_row in vt[:rank]:
-            poly = Polynomial((basis_row * scale).tolist())
-            if poly.is_zero:
-                continue
-            if poly.is_constant:
-                return _INCONSISTENT
-            if best is None or poly.degree < best.degree:
-                best = poly
-        return best
 
     # ------------------------------------------------------------------
     # slack (Section IV)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 
+from ..batch_solver import real_roots_rows, solve_tasks
 from ..errors import UnsupportedAggregateError
 from ..intervals import EPS, TimeSet
 from ..piecewise import PiecewiseFunction
 from ..polynomial import Polynomial
 from ..relation import Rel
-from ..roots import real_roots
 from ..segment import Segment, resolve_model
 from .base import ContinuousOperator
 
@@ -113,27 +113,28 @@ class ContinuousExtremumAggregate(ContinuousOperator):
         """Where does the new model improve on the current state?
 
         Uncovered (gap) ranges are trivially updates; covered ranges are
-        decided by solving ``x(t) - s(t) R 0`` piece by piece.
+        decided by solving ``x(t) - s(t) R 0`` against every overlapped
+        state piece, all rows in one kernel call.
         """
-        from ..roots import solve_relation
-
+        if lo >= hi:
+            return TimeSet.empty()
         rel = Rel.LT if self.func == "min" else Rel.GT
         covered_new = TimeSet.empty()
         covered_any = TimeSet.empty()
+        # One row per overlapped state piece: x(t) - s(t) R 0 over the
+        # common valid range.
+        tasks = []
         for piece in self._envelope.pieces:
             a = max(lo, piece.interval.lo)
             b = min(hi, piece.interval.hi)
             if a >= b:
                 continue
             covered_any = covered_any | TimeSet.interval(a, b)
-            # One row of the system: x(t) - s(t) R 0 against this state
-            # piece, solved over the common valid range.
-            self.systems_solved += 1
-            covered_new = covered_new | solve_relation(
-                poly - piece.poly, rel, a, b
-            )
-        if lo >= hi:
-            return TimeSet.empty()
+            tasks.append((poly - piece.poly, rel, a, b))
+        if tasks:
+            self.systems_solved += len(tasks)
+            for solution in solve_tasks(tasks):
+                covered_new = covered_new | solution
         gaps = covered_any.complement(TimeSet.interval(lo, hi).intervals[0])
         return covered_new | gaps
 
@@ -164,22 +165,29 @@ class ContinuousExtremumAggregate(ContinuousOperator):
         """Extremum of the envelope over ``[lo, hi]`` via critical points."""
         best = math.inf if self.func == "min" else -math.inf
         pick = min if self.func == "min" else max
-        found = False
+        # Every overlapped piece's endpoints, plus its stationary points
+        # (the derivative rows, solved in one kernel call).
+        spans = []
+        rows = []
         for piece in self._envelope.pieces:
             a = max(lo, piece.interval.lo)
             b = min(hi, piece.interval.hi)
             if a > b:
                 continue
-            found = True
-            candidates = [a, b]
+            spans.append((piece.poly, [a, b]))
             deriv = piece.poly.derivative()
             if not deriv.is_zero and not piece.poly.is_constant:
-                candidates.extend(real_roots(deriv, a, b))
-            best = pick(best, pick(piece.poly(t) for t in candidates))
-        if not found:
+                rows.append((len(spans) - 1, (deriv.coeffs, a, b)))
+        if not spans:
             raise ValueError(
                 f"envelope undefined anywhere in [{lo}, {hi}]"
             )
+        if rows:
+            solved = real_roots_rows([row for _, row in rows])
+            for (k, _), roots in zip(rows, solved):
+                spans[k][1].extend(roots)
+        for poly, candidates in spans:
+            best = pick(best, pick(poly(t) for t in candidates))
         return best
 
     def value_at(self, t: float) -> float:

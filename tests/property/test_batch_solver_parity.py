@@ -23,8 +23,12 @@ from repro.core.intervals import TimeSet
 from repro.core.polynomial import Polynomial
 from repro.core.predicate import And, Comparison, Not, Or
 from repro.core.relation import Rel
-from repro.core.roots import real_roots, solve_relation
-from tests.oracles import scalar_solve_tasks, scalar_system_solve
+from tests.oracles import (
+    real_roots,
+    scalar_solve_tasks,
+    scalar_system_solve,
+    solve_relation,
+)
 
 coeff = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False

@@ -13,6 +13,7 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core.batch_solver import solve_relation_batch
 from repro.core.equation_system import EquationSystem
 from repro.core.expr import Attr, Const
 from repro.core.operators import ContinuousFilter, ContinuousJoin
@@ -98,9 +99,7 @@ def test_filter_operator_matches_direct_solution(px, c, rel):
     f = ContinuousFilter(Comparison(Attr("x"), rel, Const(c)))
     outputs = f.process(seg)
     covered = sum(o.duration for o in outputs if not o.is_point)
-    from repro.core.roots import solve_relation
-
-    sol = solve_relation(px - c, rel, *DOMAIN)
+    (sol,) = solve_relation_batch([(px - c, rel, *DOMAIN)])
     assert math.isclose(covered, sol.measure, abs_tol=1e-6)
 
 

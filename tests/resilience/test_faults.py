@@ -6,16 +6,18 @@ import pytest
 
 from repro.core import batch_solver
 from repro.core.errors import SolverFailure
+from repro.core.operators import ContinuousExtremumAggregate
 from repro.core.polynomial import Polynomial
 from repro.core.relation import Rel
-from repro.core.roots import real_roots
 from repro.core.batch_solver import real_roots_batch, solve_tasks
+from repro.core.segment import Segment
 from repro.engine.tuples import StreamTuple
 from repro.testing import (
     corrupt_tuples,
     force_eigvals_failures,
     inject_solver_faults,
 )
+from tests.oracles import real_roots
 
 pytestmark = pytest.mark.resilience
 
@@ -54,6 +56,18 @@ class TestSolverFaultInjector:
             with pytest.raises(SolverFailure) as info:
                 solve_tasks(tasks(1))
         assert info.value.reason == "injected"
+
+    def test_min_max_envelope_solves_see_the_hook(self):
+        """A min aggregate's ``x(t) - s(t) < 0`` rows go through the
+        same funnel as filter and join rows, so injection reaches it."""
+        agg = ContinuousExtremumAggregate("x", "min")
+        agg.process(Segment(("k",), 0.0, 10.0, {"x": Polynomial([5.0])}))
+        arrival = Segment(("k",), 2.0, 8.0, {"x": Polynomial([9.0, -1.0])})
+        with inject_solver_faults(rate=1.0, kind="raise") as stats:
+            with pytest.raises(SolverFailure) as info:
+                agg.process(arrival)
+        assert info.value.reason == "injected"
+        assert stats.calls == 1
 
     def test_nan_kind_exercises_coefficient_guardrails(self):
         failures = {}

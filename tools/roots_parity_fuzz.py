@@ -15,9 +15,10 @@ the candidates.  This script is that contract as a fuzzer:
   naive formulas lose digits);
 * trailing-zero monomial gaps (rows whose effective degree drops after
   the batch pops exact zeros);
-* scalar-vs-batch parity: ``real_roots`` must agree with a one-row
-  ``real_roots_rows`` call exactly, since the scalar path delegates
-  degree-3/4 work to the batch.
+* scalar-vs-batch parity: the scalar reference ``real_roots`` of
+  ``tests/oracles.py`` must agree with a one-row ``real_roots_rows``
+  call exactly, since the reference delegates degree-3/4 work to the
+  batch.
 
 Rows with **near-multiple roots are held to a weaker contract**: at a
 multiplicity-``k`` root a coefficient perturbation of ``eps`` moves
@@ -45,8 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.core.batch_solver import real_roots_rows
 from repro.core.polynomial import Polynomial
-from repro.core.roots import real_roots
-from tests.oracles import companion_roots_rows
+from tests.oracles import companion_roots_rows, real_roots
 
 DOMAIN = (-10.0, 10.0)
 SCALES = (1e-3, 1.0, 1e3, 1e8)
