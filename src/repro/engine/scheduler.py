@@ -56,6 +56,15 @@ from .tuples import StreamTuple
 #: state-dict shape changes incompatibly.
 RUNTIME_SNAPSHOT_VERSION = 1
 
+
+def runtime_state_supported(state: object) -> bool:
+    """Whether :meth:`QueryRuntime.restore_state` can load ``state``."""
+    return (
+        isinstance(state, Mapping)
+        and state.get("version") == RUNTIME_SNAPSHOT_VERSION
+    )
+
+
 #: Valid back-pressure policies for :class:`QueryRuntime`.
 BACKPRESSURE_POLICIES = ("block", "shed-oldest", "shed-newest")
 
@@ -540,10 +549,10 @@ class QueryRuntime:
         after the restore never collide with restored segments (lineage
         refers to parents by id).
         """
-        version = state.get("version")
-        if version != RUNTIME_SNAPSHOT_VERSION:
+        if not runtime_state_supported(state):
             raise PlanError(
-                f"unsupported runtime snapshot version {version!r}"
+                "unsupported runtime snapshot version "
+                f"{state.get('version')!r}"
             )
         self._queries.clear()
         self._round_robin.clear()

@@ -128,6 +128,15 @@ def _is_segment_name(name: str) -> bool:
     )
 
 
+def _segment_starts(directory: str) -> list[int]:
+    """First sequence numbers of the log files on disk, ascending."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return sorted(int(n[4:-4]) for n in names if _is_segment_name(n))
+
+
 class WriteAheadLog:
     """Appender over a directory of sequenced log files.
 
@@ -342,11 +351,7 @@ class WriteAheadLog:
             self._file.close()
         self._open_segment(self._seq + 1)
         removed = 0
-        starts = sorted(
-            int(name[4:-4])
-            for name in os.listdir(self.directory)
-            if _is_segment_name(name)
-        )
+        starts = _segment_starts(self.directory)
         for i, first in enumerate(starts):
             nxt = starts[i + 1] if i + 1 < len(starts) else None
             if nxt is not None and nxt <= checkpoint_seq + 1:
@@ -506,3 +511,11 @@ def wal_last_seq(directory: str | os.PathLike) -> int:
     for seq, _ in read_wal(directory):
         last = seq
     return last
+
+
+def wal_first_seq(directory: str | os.PathLike) -> int | None:
+    """Sequence number the oldest log file on disk starts at (``None``
+    when there is no log file): every record before it was rotated
+    away."""
+    starts = _segment_starts(os.fspath(directory))
+    return starts[0] if starts else None
