@@ -5,19 +5,25 @@ model fitting; Keogh et al. also define bottom-up (offline, best
 quality) and SWAB (online, near-bottom-up quality).  This ablation runs
 all three on the same NYSE-like price trace at equal tolerance and
 compares compactness (pieces per 1000 points — fewer pieces means fewer
-solver invocations downstream) and fitting cost.
+solver invocations downstream) and fitting cost.  The three offline
+segmenters live in ``tests/offline_segmentation.py``; the engine runs
+only the online one.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
-from repro.bench import best_of
-from repro.fitting import (
+sys.path.insert(0, str(Path(__file__).parent.parent))
+from tests.offline_segmentation import (  # noqa: E402
     bottom_up_segmentation,
     sliding_window_segmentation,
     swab_segmentation,
 )
+
+from repro.bench import best_of
 from repro.workloads import NyseConfig, NyseTradeGenerator
 
 N_POINTS = 1500

@@ -32,7 +32,7 @@ class StreamTuple(dict):
 
     def key(self, key_fields: Iterable[str]) -> tuple:
         """The tuple's key under the given key fields."""
-        return tuple(self[f] for f in key_fields)
+        return tuple(map(self.__getitem__, key_fields))
 
     def env(self, alias: str | None = None) -> dict[str, object]:
         """An attribute environment for expression evaluation.

@@ -1,4 +1,4 @@
-"""Model fitting: regression, time-series segmentation, segment building."""
+"""Model fitting: regression, online segmentation, segment building."""
 
 from .model_builder import (
     StreamModelBuilder,
@@ -7,24 +7,15 @@ from .model_builder import (
     predictive_segment,
 )
 from .regression import FitResult, fit_polynomial
-from .segmentation import (
-    OnlineSegmenter,
-    SegmentFit,
-    bottom_up_segmentation,
-    sliding_window_segmentation,
-    swab_segmentation,
-)
+from .segmentation import OnlineSegmenter, SegmentFit
 
 __all__ = [
     "FitResult",
     "OnlineSegmenter",
     "SegmentFit",
     "StreamModelBuilder",
-    "bottom_up_segmentation",
     "build_segments",
     "compile_model_clause",
     "fit_polynomial",
     "predictive_segment",
-    "sliding_window_segmentation",
-    "swab_segmentation",
 ]

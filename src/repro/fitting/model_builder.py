@@ -106,14 +106,14 @@ class MultiAttributeSegmenter:
         if self._start is None:
             self._start = t
         self._count += 1
-        closed: dict[str, SegmentFit] = {}
-        cut = False
+        closed: dict[str, SegmentFit] | None = None
         for attr in self.attrs:
             fit = self._segmenters[attr].add(t, float(values[attr]))
             if fit is not None:
+                if closed is None:
+                    closed = {}
                 closed[attr] = fit
-                cut = True
-        if not cut:
+        if closed is None:
             return None
         # Force the remaining attributes to cut at the same boundary.
         for attr in self.attrs:
@@ -165,7 +165,8 @@ class StreamModelBuilder:
         self.tuples_consumed = 0
         self.segments_emitted = 0
 
-    def add(self, tup: StreamTuple) -> list[Segment]:
+    def add(self, tup: StreamTuple) -> tuple[Segment, ...]:
+        """Fit one tuple; returns the segment it closes, if any."""
         self.tuples_consumed += 1
         key = tup.key(self.key_fields)
         seg = self._per_key.get(key)
@@ -177,8 +178,8 @@ class StreamModelBuilder:
             }
         closed = seg.add(tup.time, tup)
         if closed is None:
-            return []
-        return [self._emit(key, closed)]
+            return ()
+        return (self._emit(key, closed),)
 
     def finish(self) -> list[Segment]:
         out = []

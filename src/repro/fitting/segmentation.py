@@ -1,31 +1,21 @@
-"""Time-series segmentation: points → piecewise polynomial models.
+"""Online time-series segmentation: points → piecewise linear models.
 
 The paper's historical processing fits models "via an online
 segmentation-based algorithm [13]" — Keogh, Chu, Hart & Pazzani's "An
-online algorithm for segmenting time series" (ICDM 2001).  That paper
-defines the three classic strategies implemented here:
-
-* **sliding window** — grow a segment until the fit error exceeds the
-  tolerance, then cut (the online algorithm Pulse uses);
-* **bottom-up** — start from finest segments and greedily merge the pair
-  with the cheapest merge cost (offline, best quality);
-* **SWAB** (Sliding Window And Bottom-up) — bottom-up over a small
-  buffer, emitting the leftmost segment as the buffer slides (online,
-  near bottom-up quality).
-
-All three return :class:`SegmentFit` pieces; tolerance is the maximum
-absolute residual per segment, matching Pulse's absolute error bounds.
+online algorithm for segmenting time series" (ICDM 2001).  Of the
+strategies that paper defines, Pulse runs the online one, the
+**sliding window**: grow a segment until the fit error exceeds the
+tolerance, then cut.  :class:`OnlineSegmenter` is that algorithm for one
+attribute of one key; it returns :class:`SegmentFit` pieces, with
+tolerance the maximum absolute residual, matching Pulse's absolute
+error bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from ..core.polynomial import Polynomial
-from .regression import FitResult, fit_polynomial
 
 
 @dataclass(frozen=True)
@@ -42,155 +32,23 @@ class SegmentFit:
         return self.t_end - self.t_start
 
 
-def _piece(times, values, degree, end_time=None) -> SegmentFit:
-    fit = fit_polynomial(times, values, degree)
-    t_end = end_time if end_time is not None else float(times[-1])
-    # A segment must have positive extent; extend a point fit minimally.
-    t_start = float(times[0])
-    if t_end <= t_start:
-        t_end = t_start + 1e-9
-    return SegmentFit(t_start, t_end, fit.poly, fit.max_error)
-
-
-def sliding_window_segmentation(
-    times: Sequence[float],
-    values: Sequence[float],
-    tolerance: float,
-    degree: int = 1,
-) -> list[SegmentFit]:
-    """Online sliding-window segmentation.
-
-    Grows each segment point by point, cutting when the best fit's max
-    residual exceeds ``tolerance``.  Each piece's ``t_end`` is the next
-    piece's ``t_start``, so consecutive pieces tile the time axis.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.size == 0:
-        return []
-    pieces: list[SegmentFit] = []
-    anchor = 0
-    i = anchor + 1
-    while i < t.size:
-        fit = fit_polynomial(t[anchor : i + 1], y[anchor : i + 1], degree)
-        if fit.max_error > tolerance:
-            pieces.append(_piece(t[anchor:i], y[anchor:i], degree, end_time=t[i]))
-            anchor = i
-        i += 1
-    pieces.append(_piece(t[anchor:], y[anchor:], degree))
-    return pieces
-
-
-def bottom_up_segmentation(
-    times: Sequence[float],
-    values: Sequence[float],
-    tolerance: float,
-    degree: int = 1,
-    initial_size: int = 2,
-) -> list[SegmentFit]:
-    """Offline bottom-up segmentation.
-
-    Starts from runs of ``initial_size`` points and repeatedly merges the
-    adjacent pair whose merged fit has the smallest max residual, until
-    no merge stays within ``tolerance``.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.size == 0:
-        return []
-    # Segment boundaries as index ranges [start, end).
-    bounds = [
-        (i, min(i + initial_size, t.size))
-        for i in range(0, t.size, initial_size)
-    ]
-    if len(bounds) == 1:
-        return [_piece(t, y, degree)]
-
-    def merge_cost(a: tuple[int, int], b: tuple[int, int]) -> float:
-        return fit_polynomial(t[a[0] : b[1]], y[a[0] : b[1]], degree).max_error
-
-    costs = [merge_cost(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    while costs:
-        best = int(np.argmin(costs))
-        if costs[best] > tolerance:
-            break
-        bounds[best] = (bounds[best][0], bounds[best + 1][1])
-        del bounds[best + 1]
-        del costs[best]
-        if best > 0:
-            costs[best - 1] = merge_cost(bounds[best - 1], bounds[best])
-        if best < len(costs):
-            costs[best] = merge_cost(bounds[best], bounds[best + 1])
-    pieces = []
-    for idx, (a, b) in enumerate(bounds):
-        end_time = t[bounds[idx + 1][0]] if idx + 1 < len(bounds) else None
-        pieces.append(_piece(t[a:b], y[a:b], degree, end_time=end_time))
-    return pieces
-
-
-def swab_segmentation(
-    times: Sequence[float],
-    values: Sequence[float],
-    tolerance: float,
-    degree: int = 1,
-    buffer_size: int = 60,
-) -> list[SegmentFit]:
-    """SWAB: online segmentation with bottom-up quality.
-
-    Keeps a point buffer roughly ``buffer_size`` long, runs bottom-up on
-    it, emits the leftmost resulting segment, and refills.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.size == 0:
-        return []
-    pieces: list[SegmentFit] = []
-    start = 0
-    while start < t.size:
-        end = min(start + buffer_size, t.size)
-        window = bottom_up_segmentation(
-            t[start:end], y[start:end], tolerance, degree
-        )
-        if end == t.size:
-            pieces.extend(window)
-            break
-        # Emit only the leftmost segment, slide the buffer past it.
-        first = window[0]
-        emitted_points = int(np.searchsorted(t, first.t_end, side="left")) - start
-        emitted_points = max(emitted_points, 1)
-        boundary = start + emitted_points
-        boundary_time = t[boundary] if boundary < t.size else None
-        pieces.append(
-            _piece(
-                t[start:boundary],
-                y[start:boundary],
-                degree,
-                end_time=boundary_time,
-            )
-        )
-        start = boundary
-    return pieces
-
-
 class OnlineSegmenter:
     """Streaming sliding-window segmenter (one attribute, one key).
 
     Feed points with :meth:`add`; completed pieces are returned as they
     close.  :meth:`finish` flushes the trailing open piece.
 
-    The linear (degree-1) path is O(1) per point: the least-squares line
-    is maintained from running sums, and the cut test checks the incoming
-    point's residual against the current line — the standard online
-    approximation of the sliding-window algorithm, which is what makes
-    model fitting viable at the stream rates of Fig. 8.
+    The linear (degree-1) path is O(1) per point and builds no
+    :class:`Polynomial` until a piece closes: the least-squares line is
+    maintained from running sums, and the cut test checks the incoming
+    point's residual against the current line in plain floats — the
+    standard online approximation of the sliding-window algorithm, which
+    is what makes model fitting viable at the stream rates of Fig. 8.
     """
 
     def __init__(self, tolerance: float, degree: int = 1):
         if degree != 1:
-            raise ValueError(
-                "OnlineSegmenter is the O(1)-per-point linear fitter; use "
-                "sliding_window_segmentation for higher degrees"
-            )
+            raise ValueError("OnlineSegmenter is the O(1)-per-point linear fitter")
         self.tolerance = tolerance
         self.degree = degree
         #: Points consumed (throughput accounting for Fig. 8's inset).
@@ -209,17 +67,34 @@ class OnlineSegmenter:
         self._sum_ty = 0.0
         self._max_resid = 0.0
 
-    def _line(self) -> Polynomial:
-        """Current least-squares line from the running sums."""
-        if self._n == 1:
-            return Polynomial([self._first_y])
-        denom = self._n * self._sum_tt - self._sum_t**2
+    def _coeffs(self) -> tuple[float, float]:
+        """Current least-squares line ``c0 + c1*t`` from the running sums.
+
+        ``c1 == 0.0`` means a constant.  The sums are relative to ``_t0``
+        for conditioning; the line is shifted back to absolute time with
+        exactly the float operations of
+        ``Polynomial([intercept, slope]).shift(-t0)`` — zero coefficients
+        skipped, ``delta == 0`` a no-op — so the line a point is tested
+        against and the model a closed piece carries are that polynomial,
+        bit for bit.
+        """
+        n = self._n
+        if n == 1:
+            return self._first_y, 0.0
+        sum_t = self._sum_t
+        sum_y = self._sum_y
+        denom = n * self._sum_tt - sum_t**2
         if abs(denom) < 1e-18:
-            return Polynomial([self._sum_y / self._n])
-        slope = (self._n * self._sum_ty - self._sum_t * self._sum_y) / denom
-        intercept = (self._sum_y - slope * self._sum_t) / self._n
-        # Sums are relative to _t0 for conditioning; shift back.
-        return Polynomial([intercept, slope]).shift(-self._t0)
+            return sum_y / n, 0.0
+        slope = (n * self._sum_ty - sum_t * sum_y) / denom
+        intercept = (sum_y - slope * sum_t) / n
+        delta = -self._t0
+        if delta == 0.0:
+            return intercept, slope
+        c0 = intercept if intercept != 0.0 else 0.0
+        if slope == 0.0:
+            return c0, 0.0
+        return c0 + slope * delta, slope
 
     def _ingest(self, t: float, value: float) -> None:
         if self._n == 0:
@@ -240,13 +115,16 @@ class OnlineSegmenter:
         if self._n < 2:
             self._ingest(t, value)
             return None
-        line = self._line()
-        resid = abs(value - line(t))
+        c0, c1 = self._coeffs()
+        # Evaluated as Polynomial((c0, c1))(t) would: Horner, or
+        # ``c0 + 0.0 * t`` for a constant.
+        resid = abs(value - (c1 * t + c0 if c1 else c0 + 0.0 * t))
         if resid <= self.tolerance:
             self._ingest(t, value)
-            self._max_resid = max(self._max_resid, resid)
+            if resid > self._max_resid:
+                self._max_resid = resid
             return None
-        closed = SegmentFit(self._first_t, t, line, self._max_resid)
+        closed = SegmentFit(self._first_t, t, Polynomial((c0, c1)), self._max_resid)
         self._reset_window()
         self._ingest(t, value)
         return closed
@@ -255,11 +133,10 @@ class OnlineSegmenter:
         """Close and return the trailing piece, if any."""
         if self._n == 0:
             return None
-        line = self._line()
         closed = SegmentFit(
             self._first_t,
             self._last_t + 1e-9 if self._last_t <= self._first_t else self._last_t,
-            line,
+            Polynomial(self._coeffs()),
             self._max_resid,
         )
         self._reset_window()

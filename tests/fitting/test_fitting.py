@@ -8,15 +8,17 @@ from repro.engine.tuples import StreamTuple
 from repro.fitting import (
     OnlineSegmenter,
     StreamModelBuilder,
-    bottom_up_segmentation,
     build_segments,
     compile_model_clause,
     fit_polynomial,
     predictive_segment,
+)
+from repro.query import parse_expression
+from tests.offline_segmentation import (
+    bottom_up_segmentation,
     sliding_window_segmentation,
     swab_segmentation,
 )
-from repro.query import parse_expression
 
 
 class TestRegression:

@@ -17,7 +17,10 @@ tests and tools — none of them is reachable from ``src/``:
   join that probes every stored key whatever its predicate;
 * **segment-at-a-time cascade** — the plan executor calling one
   ``process`` per queue entry instead of handing each operator its
-  runs (what ``ContinuousPlan._cascade`` did before runs).
+  runs (what ``ContinuousPlan._cascade`` did before runs);
+* **per-point polynomial line** — the online segmenter building and
+  shifting a :class:`Polynomial` for every point to test its residual
+  (what ``OnlineSegmenter`` did before it tested in floats).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.core.roots import (
     check_coefficients,
 )
 from repro.core.segment import Key, Segment, apply_update_semantics
+from repro.fitting import SegmentFit, model_builder
 
 
 # ----------------------------------------------------------------------
@@ -511,3 +515,125 @@ def segment_at_a_time() -> Iterator[None]:
         yield
     finally:
         ContinuousPlan._cascade = real
+
+
+# ----------------------------------------------------------------------
+# per-point polynomial line
+# ----------------------------------------------------------------------
+class PolynomialSegmenter:
+    """``OnlineSegmenter`` as it was before the float cut test (degree 1
+    only): every point's residual is tested against a freshly built and
+    shifted :class:`Polynomial`."""
+
+    def __init__(self, tolerance: float):
+        self.tolerance = tolerance
+        self.points_consumed = 0
+        self._reset_window()
+
+    def _reset_window(self) -> None:
+        self._n = 0
+        self._t0 = 0.0
+        self._first_t = 0.0
+        self._first_y = 0.0
+        self._last_t = 0.0
+        self._sum_t = 0.0
+        self._sum_y = 0.0
+        self._sum_tt = 0.0
+        self._sum_ty = 0.0
+        self._max_resid = 0.0
+
+    def _line(self) -> Polynomial:
+        if self._n == 1:
+            return Polynomial([self._first_y])
+        denom = self._n * self._sum_tt - self._sum_t**2
+        if abs(denom) < 1e-18:
+            return Polynomial([self._sum_y / self._n])
+        slope = (self._n * self._sum_ty - self._sum_t * self._sum_y) / denom
+        intercept = (self._sum_y - slope * self._sum_t) / self._n
+        return Polynomial([intercept, slope]).shift(-self._t0)
+
+    def _ingest(self, t: float, value: float) -> None:
+        if self._n == 0:
+            self._t0 = t
+            self._first_t = t
+            self._first_y = value
+        rel = t - self._t0
+        self._n += 1
+        self._last_t = t
+        self._sum_t += rel
+        self._sum_y += value
+        self._sum_tt += rel * rel
+        self._sum_ty += rel * value
+
+    def add(self, t: float, value: float) -> SegmentFit | None:
+        self.points_consumed += 1
+        if self._n < 2:
+            self._ingest(t, value)
+            return None
+        line = self._line()
+        resid = abs(value - line(t))
+        if resid <= self.tolerance:
+            self._ingest(t, value)
+            self._max_resid = max(self._max_resid, resid)
+            return None
+        closed = SegmentFit(self._first_t, t, line, self._max_resid)
+        self._reset_window()
+        self._ingest(t, value)
+        return closed
+
+    def finish(self) -> SegmentFit | None:
+        if self._n == 0:
+            return None
+        line = self._line()
+        closed = SegmentFit(
+            self._first_t,
+            self._last_t + 1e-9 if self._last_t <= self._first_t else self._last_t,
+            line,
+            self._max_resid,
+        )
+        self._reset_window()
+        return closed
+
+
+class PolynomialMultiSegmenter(model_builder.MultiAttributeSegmenter):
+    """``MultiAttributeSegmenter.add`` as it was, over
+    :class:`PolynomialSegmenter`: a fresh ``closed`` dict per point."""
+
+    def __init__(self, attrs: Sequence[str], tolerance: float):
+        super().__init__(attrs, tolerance)
+        self._segmenters = {a: PolynomialSegmenter(tolerance) for a in attrs}
+
+    def add(self, t, values):
+        if self._start is None:
+            self._start = t
+        self._count += 1
+        closed: dict[str, SegmentFit] = {}
+        cut = False
+        for attr in self.attrs:
+            fit = self._segmenters[attr].add(t, float(values[attr]))
+            if fit is not None:
+                closed[attr] = fit
+                cut = True
+        if not cut:
+            return None
+        for attr in self.attrs:
+            if attr not in closed:
+                seg = self._segmenters[attr]
+                fit = seg.finish()
+                seg.add(t, float(values[attr]))
+                if fit is not None:
+                    closed[attr] = fit
+        self._start = t
+        return closed
+
+
+@contextmanager
+def polynomial_line_fitting() -> Iterator[None]:
+    """Every ``StreamModelBuilder`` made inside the block fits with
+    :class:`PolynomialMultiSegmenter`."""
+    real = model_builder.MultiAttributeSegmenter
+    model_builder.MultiAttributeSegmenter = PolynomialMultiSegmenter
+    try:
+        yield
+    finally:
+        model_builder.MultiAttributeSegmenter = real
