@@ -44,12 +44,9 @@ eigensolve for exactly those rows.
 
 Every operation is an elementwise ufunc (no reductions), so a row's
 candidates are independent of which batch it rides in — the same
-partition-invariance argument the stacked eigensolver makes.  The
-scalar reference in ``tests/oracles.py`` funnels degree-3/4 rows
-through this very kernel with a one-row batch, which is what makes it
-and the batched solves bit-identical by construction
-(``tests/property/test_closed_form.py`` additionally pins the
-lane-consistency of the ufuncs involved).
+partition-invariance argument the stacked eigensolver makes
+(``tests/property/test_closed_form.py`` pins the lane-consistency of the
+ufuncs involved).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Tests for root finding and sign-test solving.
 
 The root and relation tests drive the shipped kernel with one-row
-batches; Newton and Brent are the scalar reference's iterations.
+batches; Brent is the bracketing finder the root-finder ablation
+compares the kernel against.
 """
 
 import math
@@ -12,16 +13,7 @@ from repro.core.errors import SolverError
 from repro.core.polynomial import Polynomial
 from repro.core.relation import Rel
 from tests.kernel import kernel_real_roots, kernel_solve_relation
-from tests.oracles import brent, newton
-
-
-class TestNewton:
-    def test_converges_to_sqrt2(self):
-        root = newton(lambda x: x * x - 2, lambda x: 2 * x, 1.0)
-        assert root == pytest.approx(math.sqrt(2))
-
-    def test_zero_derivative_returns_none(self):
-        assert newton(lambda x: x * x + 1, lambda x: 2 * x, 0.0) is None
+from tests.oracles import brent
 
 
 class TestBrent:

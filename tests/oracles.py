@@ -5,10 +5,9 @@ cubic/quartic candidates, fed by every selective operator's probes.
 The slower twins it is held equal to live here, as plain functions and context managers for
 tests and tools — none of them is reachable from ``src/``:
 
-* **scalar** — :func:`real_roots` and :func:`solve_relation` row by
-  row: ``np.roots`` plus a scalar :func:`newton` polish per row and a
-  Horner sign test per subinterval (and :func:`brent`, the bracketing
-  finder the root-finder ablation compares against);
+* **Brent** — :func:`brent`, the bracketing finder (Brent 1973) the
+  root-finder ablation compares the kernel against (the kernel itself is
+  judged by exact arithmetic, :mod:`tests.exact`);
 * **companion** — the stacked companion-matrix eigensolve for every
   degree, i.e. the bucket the closed-form kernels fall back to;
 * **linear operator state** — the windowed operators' containers as
@@ -33,55 +32,20 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core import batch_solver, plan as plan_module
-from repro.core.equation_system import EquationSystem
-from repro.core.errors import SolverError, SolverFailure
-from repro.core.intervals import EPS, Interval, TimeSet
+from repro.core.errors import SolverError
+from repro.core.intervals import EPS, Interval
 from repro.core.operators import ContinuousJoin
 from repro.core.operators.aggregate_sum import ContinuousSumAggregate
 from repro.core.piecewise import Piece
 from repro.core.plan import ContinuousPlan
 from repro.core.polynomial import Polynomial
-from repro.core.relation import Rel
-from repro.core.roots import (
-    IMAG_TOL,
-    RESIDUAL_TOL,
-    ROOT_MERGE_TOL,
-    _deflate,
-    _quadratic_roots,
-    check_coefficients,
-)
 from repro.core.segment import Key, Segment, apply_update_semantics
 from repro.fitting import SegmentFit, model_builder
 
 
 # ----------------------------------------------------------------------
-# scalar
+# Brent
 # ----------------------------------------------------------------------
-def newton(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    x0: float,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> float | None:
-    """Newton–Raphson iteration; returns ``None`` on non-convergence."""
-    x = x0
-    for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) < tol:
-            return x
-        d = fprime(x)
-        if d == 0.0 or not math.isfinite(d):
-            return None
-        step = fx / d
-        x -= step
-        if not math.isfinite(x):
-            return None
-        if abs(step) < tol * max(1.0, abs(x)):
-            return x
-    return x if abs(f(x)) < math.sqrt(tol) else None
-
-
 def brent(
     f: Callable[[float], float],
     a: float,
@@ -148,164 +112,6 @@ def brent(
         fb = f(b)
     return b
 
-
-
-
-def real_roots(
-    poly: Polynomial, lo: float = -math.inf, hi: float = math.inf
-) -> list[float]:
-    """All real roots of ``poly`` within ``[lo, hi]``, sorted ascending.
-
-    Roots are deduplicated; a root of even multiplicity appears once.  The
-    zero polynomial has uncountably many roots and raises ``SolverError`` —
-    callers must special-case it (the predicate holds everywhere).
-    """
-    if poly.is_zero:
-        raise SolverFailure(
-            "zero-polynomial", "the zero polynomial has no discrete root set"
-        )
-    check_coefficients(poly.coeffs)
-    budget = batch_solver.SOLVER_CONFIG.max_roots_per_row
-    if poly.degree > budget:
-        raise SolverFailure(
-            "root-budget",
-            f"degree {poly.degree} exceeds the root budget {budget}",
-        )
-    c = _deflate(poly.coeffs, lo, hi)
-    if len(c) == 1:
-        return []
-    # Exact low-order zero coefficients factor out as roots at t = 0,
-    # so the kernel a row lands on is decided by the *inner* length
-    # after that popping (mirrors the batched bucketing).
-    lead_zeros = 0
-    while lead_zeros < len(c) - 1 and c[lead_zeros] == 0.0:
-        lead_zeros += 1
-    if len(c) - lead_zeros in (4, 5):
-        # Cubics and quartics go through the kernel's closed-form
-        # Cardano/Ferrari rung as a one-row batch (with its per-row
-        # companion fallback): the reference for those degrees is the
-        # companion path, see :func:`companion_roots_rows`.
-        return batch_solver.real_roots_rows([(poly.coeffs, lo, hi)])[0]
-    if len(c) == 2:
-        roots = [-c[0] / c[1]]
-    elif len(c) == 3:
-        roots = _quadratic_roots(c[0], c[1], c[2])
-    else:
-        roots = _companion_roots(Polynomial(c))
-    roots = [r for r in roots if math.isfinite(r)]
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > ROOT_MERGE_TOL * max(1.0, abs(r)):
-            merged.append(r)
-    span = max((abs(r) for r in merged), default=1.0)
-    pad = EPS * max(1.0, span)
-    return [r for r in merged if lo - pad <= r <= hi + pad]
-
-
-def _companion_roots(poly: Polynomial) -> list[float]:
-    """Roots of a degree >= 3 polynomial via companion-matrix eigenvalues,
-    polished with a Newton step."""
-    # numpy.roots expects descending coefficients.
-    try:
-        eigen = np.roots(list(reversed(poly.coeffs)))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverFailure(
-            "eigvals", f"companion eigensolve failed: {exc}"
-        ) from exc
-    scale = max(abs(v) for v in poly.coeffs)
-    deriv = poly.derivative()
-    out: list[float] = []
-    for z in eigen:
-        if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real)):
-            continue
-        x = float(z.real)
-        polished = newton(poly, deriv, x)
-        if polished is not None:
-            x = polished
-        if abs(poly(x)) <= RESIDUAL_TOL * max(1.0, scale):
-            out.append(x)
-    return out
-
-
-def solve_relation(
-    poly: Polynomial, rel: Rel, lo: float, hi: float
-) -> TimeSet:
-    """Solve ``poly(t) R 0`` for ``t`` in the half-open domain ``[lo, hi)``.
-
-    Returns a :class:`TimeSet`: intervals where an inequality holds, and
-    isolated points for equality predicates (this is how selective
-    operators with ``=`` comparisons reduce segments to instants,
-    Section III-C).
-    """
-    if lo >= hi:
-        return TimeSet.empty()
-    # Guardrail before the cheap branches: a NaN "constant" would
-    # otherwise silently evaluate to an empty solution instead of
-    # flagging the broken model to the caller.
-    check_coefficients(poly.coeffs)
-    if poly.is_zero:
-        if rel.includes_equality:
-            return TimeSet.interval(lo, hi)
-        return TimeSet.empty()
-    if poly.is_constant:
-        if rel.holds(poly.coeffs[0]):
-            return TimeSet.interval(lo, hi)
-        return TimeSet.empty()
-
-    roots = real_roots(poly, lo, hi)
-    interior = [r for r in roots if lo < r < hi]
-
-    if rel is Rel.EQ:
-        points = [r for r in roots if lo - EPS <= r < hi]
-        return TimeSet.from_points(points)
-    # NE and the inequalities share the sign-test machinery: NE's
-    # solution is the full domain minus the measure-zero roots, i.e.
-    # exactly the subintervals between roots that the sign tests keep.
-    return _sign_intervals(poly, rel, lo, hi, interior)
-
-
-def _sign_intervals(
-    poly: Polynomial,
-    rel: Rel,
-    lo: float,
-    hi: float,
-    interior_roots: Sequence[float],
-) -> TimeSet:
-    """Sign-test the subintervals delimited by the interior roots."""
-    boundaries = [lo, *interior_roots, hi]
-    intervals: list[Interval] = []
-    points: list[float] = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        if b - a <= EPS:
-            continue
-        mid = 0.5 * (a + b)
-        if rel.holds(poly(mid)):
-            intervals.append(Interval(a, b))
-    if rel.includes_equality and rel is not Rel.EQ:
-        # LE / GE additionally hold exactly at the roots; isolated roots not
-        # adjacent to a satisfying interval must be kept as points.
-        solution = TimeSet(intervals=intervals)
-        for r in interior_roots:
-            if not solution.contains(r, tol=EPS):
-                points.append(r)
-    return TimeSet(intervals=intervals, points=points)
-
-
-def scalar_solve_tasks(tasks: Sequence[tuple]) -> list[TimeSet]:
-    """``(poly, rel, lo, hi)`` tasks solved one row at a time."""
-    return [solve_relation(poly, rel, lo, hi) for poly, rel, lo, hi in tasks]
-
-
-def scalar_system_solve(
-    system: EquationSystem, lo: float, hi: float
-) -> TimeSet:
-    """``system`` over ``[lo, hi)`` with every row solved by the scalar
-    path and combined through the system's own boolean structure."""
-    rows = scalar_solve_tasks(
-        [(row.poly, row.rel, lo, hi) for row in system.rows]
-    )
-    return system.evaluate_structure(rows, lo, hi)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.testing import (
     force_eigvals_failures,
     inject_solver_faults,
 )
-from tests.oracles import real_roots
+from tests.kernel import assert_roots_match_exact
 
 pytestmark = pytest.mark.resilience
 
@@ -149,7 +149,7 @@ class TestEigvalsFaultInjector:
         assert stats.injected > 0  # the stacked call did fail
         assert failures == {}      # ...but every row was rescued
         for (poly, lo, hi), roots in zip(items, results):
-            assert roots == real_roots(poly, lo, hi)
+            assert_roots_match_exact(roots, poly, lo, hi)
 
     def test_patch_restored_on_exit(self):
         original = batch_solver._stacked_companion_eigvals
