@@ -383,9 +383,9 @@ class TestDispatcher:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_roots_parity_fuzz_tool_reports_no_mismatch(seed):
     """``tools/roots_parity_fuzz.py`` at the size the former
-    ``roots-parity`` CI job ran it: closed-form vs companion on
-    well-conditioned rows, containment on clustered ones, and exact
-    scalar-vs-batch equality."""
+    ``roots-parity`` CI job ran it: both the closed-form ladder and the
+    companion eigensolve against exact arithmetic, to backward error on
+    near-multiple clusters."""
     import importlib.util
     from pathlib import Path
 

@@ -1,13 +1,19 @@
 """Property-based tests for root finding, sign solving and operators.
 
-Roots and relations are solved by the shipped kernel, one row a call.
+Roots and relations are solved by the shipped kernel, one row a call,
+and held to exact arithmetic where a reference is needed.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.polynomial import Polynomial
 from repro.core.relation import Rel
-from tests.kernel import kernel_real_roots, kernel_solve_relation
+from tests.kernel import (
+    assert_matches_exact,
+    assert_roots_match_exact,
+    kernel_real_roots,
+    kernel_solve_relation,
+)
 
 coeff = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -19,11 +25,11 @@ DOMAIN = (-10.0, 10.0)
 
 
 @given(polys)
+@settings(deadline=None)
 def test_roots_actually_vanish(p):
+    """The roots are the exact ones (``tests/kernel.py``)."""
     assume(not p.is_zero)
-    scale = max(abs(c) for c in p.coeffs)
-    for r in kernel_real_roots(p, *DOMAIN):
-        assert abs(p(r)) < 1e-5 * max(1.0, scale)
+    assert_roots_match_exact(kernel_real_roots(p, *DOMAIN), p, *DOMAIN)
 
 
 @given(polys)
@@ -35,36 +41,20 @@ def test_roots_sorted_and_unique(p):
 
 
 @given(polys, rels)
+@settings(deadline=None)
 def test_solution_interiors_satisfy_relation(p, rel):
+    """The solution is the exact one, so off a measure of ``DELTA`` its
+    interiors satisfy ``rel`` and its complement's violate it."""
     assume(not p.is_zero)
-    sol = kernel_solve_relation(p, rel, *DOMAIN)
-    scale = max(abs(c) for c in p.coeffs)
-    for iv in sol.intervals:
-        value = p(iv.midpoint)
-        # A midpoint can land exactly on an interior root when interval
-        # normalization coalesces across a puncture (e.g. -t^2 < 0 with
-        # its double root at 0) — the paper's measure-zero superset
-        # semantics (Observation 1).  Strict relations are only checked
-        # away from roots.
-        if abs(value) <= 1e-9 * max(1.0, scale):
-            continue
-        assert rel.holds(value), (p, rel, iv)
+    assert_matches_exact(kernel_solve_relation(p, rel, *DOMAIN), p, rel, *DOMAIN)
 
 
 @given(polys, rels)
+@settings(deadline=None)
 def test_complement_interiors_violate_relation(p, rel):
     assume(not p.is_zero)
-    from repro.core.intervals import Interval
-
-    sol = kernel_solve_relation(p, rel, *DOMAIN)
-    comp = sol.complement(Interval(*DOMAIN))
-    for iv in comp.intervals:
-        mid = iv.midpoint
-        # Midpoints can coincide with roots in degenerate cases; skip
-        # values within numeric tolerance of zero.
-        value = p(mid)
-        if abs(value) > 1e-7 * max(1.0, max(abs(c) for c in p.coeffs)):
-            assert not rel.holds(value), (p, rel, iv)
+    neg = kernel_solve_relation(p, rel.negate(), *DOMAIN)
+    assert_matches_exact(neg, p, rel.negate(), *DOMAIN)
 
 
 @given(polys, rels)
