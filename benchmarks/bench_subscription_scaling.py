@@ -45,7 +45,7 @@ from harness import record_result  # noqa: E402
 from repro.core.transform import to_continuous_plan  # noqa: E402
 from repro.engine.metrics import get_counter, reset_counters  # noqa: E402
 from repro.engine.scheduler import QueryRuntime  # noqa: E402
-from repro.engine.tuples import StreamTuple  # noqa: E402
+from repro.engine.tuples import ColumnBatch, StreamTuple  # noqa: E402
 from repro.fitting.model_builder import StreamModelBuilder  # noqa: E402
 from repro.query import parse_query, plan_query  # noqa: E402
 from repro.server.bridge import EngineBridge, FitSpec  # noqa: E402
@@ -136,7 +136,9 @@ def run_shared(n_subs: int) -> dict:
             ).result()
             sub_query[j + 1] = qi
         for i in range(N_QUERIES):
-            bridge.ingest(None, f"s{i}", TUPLES[i]).result()
+            bridge.ingest(
+                None, f"s{i}", ColumnBatch.from_rows(TUPLES[i])
+            ).result()
         bridge.flush().result()
         wall = time.perf_counter() - t0
         _current, peak = tracemalloc.get_traced_memory()

@@ -583,11 +583,13 @@ def solve_relation_batch(
             continue
         poly, rel, lo, hi = tasks[i]
         roots = roots_per[slot]
+        # The roots a relation that includes equality holds at: the
+        # domain rule is the same for ``=``, ``<=`` and ``>=``.
+        on_domain = [r for r in roots if lo - EPS <= r < hi]
         if rel is Rel.EQ:
-            points = [r for r in roots if lo - EPS <= r < hi]
-            results[i] = TimeSet.from_points(points)
+            results[i] = TimeSet.from_points(on_domain)
             continue
-        interior = [r for r in roots if lo < r < hi]
+        interior = [r for r in on_domain if lo < r]
         boundaries = [lo, *interior, hi]
         spans: list[tuple[float, float, float]] = []
         for a, b in zip(boundaries[:-1], boundaries[1:]):
@@ -598,7 +600,7 @@ def solve_relation_batch(
             spans.append((a, b, mid))
             eval_rows.append(slot)
             eval_ts.append(mid)
-        sign_jobs.append((i, interior, spans))
+        sign_jobs.append((i, on_domain, spans))
 
     midpoint_values: dict[tuple[int, float], float] = {}
     if eval_ts:
@@ -621,7 +623,7 @@ def solve_relation_batch(
                 midpoint_values[(slot, t)] = tasks[pending[slot]][0](t)
 
     slot_of = {i: slot for slot, i in enumerate(pending)}
-    for i, interior, spans in sign_jobs:
+    for i, on_domain, spans in sign_jobs:
         poly, rel, lo, hi = tasks[i]
         intervals = [
             Interval(a, b)
@@ -629,9 +631,9 @@ def solve_relation_batch(
             if rel.holds(midpoint_values[(slot_of[i], mid)])
         ]
         points: list[float] = []
-        if rel.includes_equality and rel is not Rel.EQ:
+        if rel.includes_equality:
             solution = TimeSet(intervals=intervals)
-            for r in interior:
+            for r in on_domain:
                 if not solution.contains(r, tol=EPS):
                     points.append(r)
         results[i] = TimeSet(intervals=intervals, points=points)

@@ -30,12 +30,13 @@ from .operators import (
 )
 from .plan import DiscretePlan
 from .resilience import BreakerConfig, BreakerState, CircuitBreaker
-from .tuples import Schema, StreamDef, StreamTuple
+from .tuples import ColumnBatch, Schema, StreamDef, StreamTuple
 
 __all__ = [
     "BreakerConfig",
     "BreakerState",
     "CircuitBreaker",
+    "ColumnBatch",
     "Counter",
     "CounterRegistry",
     "DiscreteFilter",

@@ -2,7 +2,8 @@
 
 The paper evaluates Pulse against a conventional tuple-at-a-time stream
 processor (Borealis).  This module provides that engine's datatypes: a
-lightweight tuple carrying a timestamp plus named attributes, and a
+lightweight tuple carrying a timestamp plus named attributes, a
+column-wise batch of such tuples (the unit ingest moves in), and a
 schema describing a stream's attributes, key fields and temporal fields
 (Section II-B's reference/delta attributes).
 """
@@ -10,7 +11,8 @@ schema describing a stream's attributes, key fields and temporal fields
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 
 class StreamTuple(dict):
@@ -46,6 +48,79 @@ class StreamTuple(dict):
         for k, v in self.items():
             out[f"{alias}.{k}"] = v
         return out
+
+
+class ColumnBatch:
+    """A batch of stream tuples held column-wise.
+
+    ``columns`` maps each field name to one list holding that field's
+    value for every row; ``None`` marks a row that lacks the field.
+    This is the form ingest travels in from the wire to the fitting
+    builders and into the WAL: a continuous graph reads the columns it
+    models directly, and a row becomes a :class:`StreamTuple` only
+    where a discrete plan consumes one (:meth:`rows`).
+    """
+
+    __slots__ = ("columns", "size")
+
+    def __init__(self, columns: dict[str, list], size: int | None = None):
+        self.columns = columns
+        if size is None:
+            size = len(next(iter(columns.values()), ()))
+        self.size = size
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Mapping]) -> "ColumnBatch":
+        """Transpose rows once; a field a row lacks (or holds ``None``
+        in) is ``None`` in that row's slot.  Columns follow the order in
+        which their fields first appear."""
+        names = dict.fromkeys(chain.from_iterable(rows))
+        return cls(
+            {name: [row.get(name) for row in rows] for name in names},
+            len(rows),
+        )
+
+    def __len__(self) -> int:
+        return self.size
+
+    def column(self, name: str) -> list:
+        """One field's values; all ``None`` when no row carries it."""
+        values = self.columns.get(name)
+        return [None] * self.size if values is None else values
+
+    def zipped(self, names: Sequence[str]) -> list[tuple]:
+        """Per row, the tuple of the named fields' values (``None``
+        where absent; ``()`` for every row when ``names`` is empty)."""
+        if not names:
+            return [()] * self.size
+        return list(zip(*(self.column(name) for name in names)))
+
+    def take(self, indices: Sequence[int]) -> "ColumnBatch":
+        """The rows at ``indices``, in that order."""
+        return ColumnBatch(
+            {
+                name: [values[i] for i in indices]
+                for name, values in self.columns.items()
+            },
+            len(indices),
+        )
+
+    def rows(self) -> list[StreamTuple]:
+        """Every row as a :class:`StreamTuple`, absent fields left out."""
+        names = list(self.columns)
+        cols = list(self.columns.values())
+        if not cols:
+            return [StreamTuple() for _ in range(self.size)]
+        if any(None in values for values in cols):
+            return [
+                StreamTuple(
+                    (name, value)
+                    for name, value in zip(names, values)
+                    if value is not None
+                )
+                for values in zip(*cols)
+            ]
+        return [StreamTuple(zip(names, values)) for values in zip(*cols)]
 
 
 @dataclass(frozen=True)

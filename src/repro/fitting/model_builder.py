@@ -100,15 +100,17 @@ class MultiAttributeSegmenter:
         self._count = 0
 
     def add(
-        self, t: float, values: Mapping[str, float]
+        self, t: float, values: Sequence[float]
     ) -> dict[str, SegmentFit] | None:
-        """Add one multi-attribute point; returns closed fits on a cut."""
+        """Add one multi-attribute point (``values`` aligned with
+        :attr:`attrs`); returns closed fits on a cut."""
         if self._start is None:
             self._start = t
         self._count += 1
         closed: dict[str, SegmentFit] | None = None
-        for attr in self.attrs:
-            fit = self._segmenters[attr].add(t, float(values[attr]))
+        segmenters = self._segmenters
+        for attr, value in zip(self.attrs, values):
+            fit = segmenters[attr].add(t, float(value))
             if fit is not None:
                 if closed is None:
                     closed = {}
@@ -116,13 +118,13 @@ class MultiAttributeSegmenter:
         if closed is None:
             return None
         # Force the remaining attributes to cut at the same boundary.
-        for attr in self.attrs:
+        for attr, value in zip(self.attrs, values):
             if attr not in closed:
-                seg = self._segmenters[attr]
+                seg = segmenters[attr]
                 fit = seg.finish()
                 # Re-seed with the current point so all attributes restart
                 # together.
-                seg.add(t, float(values[attr]))
+                seg.add(t, float(value))
                 if fit is not None:
                     closed[attr] = fit
         self._start = t
@@ -146,7 +148,8 @@ class StreamModelBuilder:
 
     Used standalone for Fig. 8's "modeling throughput" measurement and as
     the front end of historical processing: feed tuples with
-    :meth:`add`, collect emitted :class:`Segment` objects.
+    :meth:`add` (or bare points with :meth:`add_point`, as the server
+    does from a column batch), collect emitted :class:`Segment` objects.
     """
 
     def __init__(
@@ -167,16 +170,35 @@ class StreamModelBuilder:
 
     def add(self, tup: StreamTuple) -> tuple[Segment, ...]:
         """Fit one tuple; returns the segment it closes, if any."""
+        return self.add_point(
+            tup.time,
+            tup.key(self.key_fields),
+            [tup[attr] for attr in self.attrs],
+            [tup.get(field) for field in self.constants],
+        )
+
+    def add_point(
+        self,
+        t: float,
+        key: tuple,
+        values: Sequence[float],
+        constants: Sequence = (),
+    ) -> tuple[Segment, ...]:
+        """Fit one point; returns the segment it closes, if any.
+
+        ``values`` are aligned with :attr:`attrs`; ``constants`` with
+        :attr:`constants` (``None`` where the row lacks the field), read
+        only when ``key`` is new.
+        """
         self.tuples_consumed += 1
-        key = tup.key(self.key_fields)
         seg = self._per_key.get(key)
         if seg is None:
             seg = MultiAttributeSegmenter(self.attrs, self.tolerance)
             self._per_key[key] = seg
             self._const_values[key] = {
-                f: tup[f] for f in self.constants if f in tup
+                f: v for f, v in zip(self.constants, constants) if v is not None
             }
-        closed = seg.add(tup.time, tup)
+        closed = seg.add(t, values)
         if closed is None:
             return ()
         return (self._emit(key, closed),)

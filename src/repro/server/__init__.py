@@ -13,7 +13,7 @@ dedicated engine thread owns the
 through the thread-safe :class:`~repro.server.bridge.EngineBridge`.
 
 :mod:`.client` is the blocking client library used by the CLI
-(``repro ingest``), the loopback tests and the throughput benchmark.
+(``repro ingest``), the loopback tests and the end-to-end benchmark.
 :mod:`.router` scales the boundary out: a router process key-routes
 ingest across N worker servers and deterministically merges their
 result streams back at the subscriber edge (``repro route``).
@@ -27,9 +27,10 @@ from .protocol import (
     ProtocolError,
     decode_line,
     encode,
+    pack_columns,
     serialize_segment,
     serialize_tuple,
-    validate_tuple,
+    validate_columns,
 )
 from .server import PulseServer, ServerConfig, ServerThread
 
@@ -45,9 +46,10 @@ __all__ = [
     "ProtocolError",
     "decode_line",
     "encode",
+    "pack_columns",
     "serialize_segment",
     "serialize_tuple",
-    "validate_tuple",
+    "validate_columns",
     "PulseServer",
     "ServerConfig",
     "ServerThread",

@@ -67,7 +67,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from ..core.errors import PlanError, PulseError
 from ..core.transform import to_continuous_plan
@@ -76,7 +76,7 @@ from ..engine.durability import Durability
 from ..engine.lowering import to_discrete_plan
 from ..engine.metrics import get_counter, get_gauge, get_histogram
 from ..engine.scheduler import QueryRuntime, runtime_state_supported
-from ..engine.tuples import StreamTuple
+from ..engine.tuples import ColumnBatch, StreamTuple
 from ..fitting.model_builder import StreamModelBuilder
 from ..query import parse_query, plan_query
 from .protocol import ProtocolError, serialize_results
@@ -87,6 +87,24 @@ _STOP = object()
 #: mode) shared graphs with a durable subscription table replaced the
 #: v1 per-(query, mode, bound) instances.
 BRIDGE_SNAPSHOT_VERSION = 2
+
+
+#: Column types whose every value passes the modeled-attribute test.
+_NUMERIC = {int, float}
+
+
+def migrate_ingest_record(record: tuple) -> tuple:
+    """A WAL ``ingest`` record in the current (column) form.
+
+    Records written before ingest went columnar hold the batch as a
+    list of row tuples; they are transposed exactly as the client
+    transposes the same rows, so replay feeds the engine the batch a
+    column-speaking client would have sent.
+    """
+    kind, stream, payload, policy = record
+    if isinstance(payload, list):
+        payload = ColumnBatch.from_rows(payload).columns
+    return kind, stream, payload, policy
 
 
 def _snapshot_supported(state: Mapping) -> bool:
@@ -250,9 +268,9 @@ class EngineBridge:
         ingest batch / flush) is logged *before* it executes, and
         :meth:`start` recovers from the newest valid snapshot plus a
         WAL-tail replay before the first command runs.  The WAL sits
-        at the tuple boundary — *raw* tuples are logged, before model
-        fitting — because the fitting builders are part of the state
-        that must reconverge.
+        at the tuple boundary — the validated column batch is logged,
+        before model fitting — because the fitting builders are part
+        of the state that must reconverge.
     checkpoint_every:
         Auto-checkpoint after this many WAL-logged ingest tuples
         (``None`` = manual ``checkpoint`` commands only).
@@ -434,11 +452,11 @@ class EngineBridge:
         self,
         session_id: int | None,
         stream: str,
-        tuples: Sequence[StreamTuple],
+        batch: ColumnBatch,
         policy: str | None = None,
     ) -> Future:
         return self.submit(
-            lambda: self._do_ingest(session_id, stream, tuples, policy)
+            lambda: self._do_ingest(session_id, stream, batch, policy)
         )
 
     def flush(self) -> Future:
@@ -729,7 +747,7 @@ class EngineBridge:
         self,
         session_id: int | None,
         stream: str,
-        tuples: Sequence[StreamTuple],
+        batch: ColumnBatch,
         policy: str | None,
     ) -> dict:
         t0 = time.perf_counter()
@@ -742,7 +760,7 @@ class EngineBridge:
                 "ingest",
                 parent_id=parent.span_id if parent is not None else None,
                 stream=stream,
-                tuples=len(tuples),
+                tuples=len(batch),
             )
         counts = {
             "accepted": 0,
@@ -752,10 +770,11 @@ class EngineBridge:
             "fit_rejected": 0,
         }
         if self._durability is not None and not self._replaying:
-            # Write-ahead at the tuple boundary: raw tuples go to disk
-            # before fitting can fold them into builder state.
-            self._log(("ingest", stream, list(tuples), policy))
-            self.ingest_tuples += len(tuples)
+            # Write-ahead at the tuple boundary: the validated column
+            # batch goes to disk before fitting can fold it into
+            # builder state.
+            self._log(("ingest", stream, batch.columns, policy))
+            self.ingest_tuples += len(batch)
         consumers = [
             graph
             for graph in self._graphs.values()
@@ -768,29 +787,10 @@ class EngineBridge:
             # thread are serialized, so this cannot interleave.
             self.runtime.backpressure = policy
         try:
-            for tup in tuples:
-                if not consumers:
-                    counts["no_consumer"] += 1
-                    continue
-                admitted = True
-                for graph in consumers:
-                    if graph.mode == "discrete":
-                        if not self.runtime.enqueue(
-                            graph.stream_map[stream], tup
-                        ):
-                            admitted = False
-                    else:
-                        segments = self._fit(graph, stream, tup, counts)
-                        for seg in segments:
-                            if not self.runtime.enqueue(
-                                graph.stream_map[stream], seg
-                            ):
-                                admitted = False
-                if admitted:
-                    counts["accepted"] += 1
-                else:
-                    bp = self.runtime.backpressure
-                    counts["shed" if bp == "shed-newest" else "blocked"] += 1
+            if consumers:
+                self._admit(stream, batch, consumers, counts)
+            else:
+                counts["no_consumer"] = len(batch)
         finally:
             self.runtime.backpressure = previous_policy
         self._ingested_counter.bump(counts["accepted"])
@@ -810,32 +810,103 @@ class EngineBridge:
             self._do_checkpoint()
         return counts
 
-    def _fit(
-        self, graph: _SharedGraph, stream: str, tup: StreamTuple, counts: dict
-    ) -> list:
-        """One tuple through the graph's segmenter; [] on rejection.
+    def _admit(
+        self,
+        stream: str,
+        batch: ColumnBatch,
+        consumers: list[_SharedGraph],
+        counts: dict,
+    ) -> None:
+        """Feed ``batch`` to every consuming graph, row-major.
 
-        Fit preconditions (modeled attrs and key fields present and
-        numeric where modeled) are checked *before* the segmenter sees
-        the tuple: ``MultiAttributeSegmenter.add`` consumes the point
-        attribute-by-attribute, so letting it raise midway would leave
+        Row ``i`` reaches every consumer, in registration order, before
+        row ``i + 1`` reaches any: admission order across graphs, and so
+        which rows a full queue sheds or blocks, is the order of rows.
+        A discrete graph gets each row as a :class:`StreamTuple` (built
+        once per row, shared by every discrete graph); a continuous
+        graph's builder gets the row's time, key and modeled values.
+        """
+        enqueue = self.runtime.enqueue
+        rows = None
+        feeds = []
+        for graph in consumers:
+            target = graph.stream_map[stream]
+            if graph.mode == "discrete":
+                if rows is None:
+                    rows = batch.rows()
+                feeds.append((target, None, rows))
+            else:
+                builder = graph.builders[stream]
+                feeds.append((
+                    target,
+                    builder.add_point,
+                    self._fit_points(graph, builder, batch, counts),
+                ))
+        lost = 0
+        for i in range(len(batch)):
+            admitted = True
+            for target, add_point, items in feeds:
+                if add_point is None:
+                    if not enqueue(target, items[i]):
+                        admitted = False
+                    continue
+                point = items[i]
+                if point is None:
+                    continue
+                for seg in add_point(*point):
+                    if not enqueue(target, seg):
+                        admitted = False
+            if not admitted:
+                lost += 1
+        counts["accepted"] += len(batch) - lost
+        bp = self.runtime.backpressure
+        counts["shed" if bp == "shed-newest" else "blocked"] += lost
+
+    def _fit_points(
+        self,
+        graph: _SharedGraph,
+        builder: StreamModelBuilder,
+        batch: ColumnBatch,
+        counts: dict,
+    ) -> list:
+        """Each row's ``add_point`` arguments; ``None`` for a row that
+        fails the fit preconditions, counted as ``fit_rejected``.
+
+        The preconditions (modeled attrs numeric, key fields present)
+        are checked once per column, before the segmenter sees any
+        row: ``MultiAttributeSegmenter.add`` consumes a point
+        attribute by attribute, so letting it raise midway would leave
         the per-attribute windows inconsistent.
         """
-        fit = graph.entry.fit
-        for attr in fit.attrs:
-            value = tup.get(attr)
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                counts["fit_rejected"] += 1
-                graph.fit_rejects += 1
-                return []
-        for key_field in fit.key_fields:
-            if key_field not in tup:
-                counts["fit_rejected"] += 1
-                graph.fit_rejects += 1
-                return []
-        return graph.builders[stream].add(tup)
+        bad: set[int] = set()
+        for attr in builder.attrs:
+            values = batch.column(attr)
+            if not set(map(type, values)) <= _NUMERIC:
+                bad.update(
+                    i
+                    for i, value in enumerate(values)
+                    if isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                )
+        for field in builder.key_fields:
+            values = batch.column(field)
+            if None in values:
+                bad.update(i for i, value in enumerate(values) if value is None)
+        keys = batch.zipped(builder.key_fields)
+        points: list = list(zip(
+            batch.column(StreamTuple.TIME_FIELD),
+            keys,
+            batch.zipped(builder.attrs),
+            keys
+            if builder.constants == builder.key_fields
+            else batch.zipped(builder.constants),
+        ))
+        if bad:
+            counts["fit_rejected"] += len(bad)
+            graph.fit_rejects += len(bad)
+            for i in bad:
+                points[i] = None
+        return points
 
     def _do_flush(self) -> dict:
         """End-of-stream barrier: close every open fitted segment,
@@ -973,9 +1044,10 @@ class EngineBridge:
             if sub_id in self._subs:
                 self._do_unsubscribe(sub_id)
         elif kind == "ingest":
-            _, stream, tuples, policy = record
-            self.ingest_tuples += len(tuples)
-            self._do_ingest(None, stream, tuples, policy)
+            _, stream, columns, policy = migrate_ingest_record(record)
+            batch = ColumnBatch(columns)
+            self.ingest_tuples += len(batch)
+            self._do_ingest(None, stream, batch, policy)
         elif kind == "flush":
             self._do_flush()
         # Unknown kinds: skip (forward compatibility), never crash.

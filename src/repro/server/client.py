@@ -9,8 +9,10 @@ order.  Because the server writes a flush's results *before* the flush
 ack (see :mod:`.bridge`), ``flush(); drain_results()`` observes every
 result the flush produced — no sleeping, no polling.
 
-The CLI (``repro ingest``), the loopback tests and the throughput
-benchmark all drive the server through this class.
+The CLI (``repro ingest``), the loopback tests and the end-to-end
+benchmark all drive the server through this class.  Ingest batches
+leave it as columns (:meth:`PulseClient.ingest` transposes the rows
+once; see :mod:`.protocol`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from ..core.errors import PulseError
+from ..engine.tuples import ColumnBatch
 from . import protocol
 
 
@@ -247,9 +250,19 @@ class PulseClient:
         return ack
 
     def ingest(self, stream: str, tuples: Sequence[Mapping]) -> dict:
-        """Send one batch of tuples; returns the admission counts ack."""
+        """Send one batch of tuples; returns the admission counts ack.
+
+        The rows are transposed once into columns (a field a row lacks
+        travels as ``null``), and all-float columns go packed (see
+        :func:`~.protocol.pack_columns`).
+        """
+        return self.ingest_columns(stream, ColumnBatch.from_rows(tuples))
+
+    def ingest_columns(self, stream: str, batch: ColumnBatch) -> dict:
+        """Send one batch already held column-wise."""
         return self._request(
-            "ingest", stream=stream, tuples=[dict(t) for t in tuples]
+            "ingest", stream=stream,
+            columns=protocol.pack_columns(batch.columns),
         )
 
     def flush(self) -> dict:
@@ -318,11 +331,11 @@ class PulseClient:
         between batches to hold it.  Returns summed admission counts.
         """
         totals: dict = {}
-        batch: list[dict] = []
+        batch: list[Mapping] = []
         sent = 0
         t0 = time.perf_counter()
 
-        def _send(batch: list[dict]) -> None:
+        def _send(batch: list[Mapping]) -> None:
             nonlocal sent
             ack = self.ingest(stream, batch)
             sent += len(batch)
@@ -339,7 +352,7 @@ class PulseClient:
                     time.sleep(ahead)
 
         for tup in tuples:
-            batch.append(dict(tup))
+            batch.append(tup)
             if len(batch) >= batch_size:
                 _send(batch)
                 batch = []

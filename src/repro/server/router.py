@@ -17,10 +17,12 @@ previously independent subsystems into a distributed runtime:
   for its arrivals, bit-for-bit the outputs a single server would
   have.
 * **The wire protocol** (PR 5): ``register``/``subscribe``/``flush``
-  fan out to every worker; ``ingest`` splits into *runs* (maximal
-  spans of consecutive same-worker tuples) that are pipelined — at
-  most one request in flight per worker — and merged back in run
-  order, which is global arrival order.
+  fan out to every worker; ``ingest`` is validated by the server's own
+  column validator, then splits into *runs* (maximal spans of
+  consecutive same-worker rows, each forwarded as its own column
+  batch) that are pipelined — at most one request in flight per
+  worker — and merged back in run order, which is global arrival
+  order.
 * **Durability** (PR 7): each worker keeps its own WAL and recovers
   independently; the router turns that into a *fleet* guarantee (see
   below).
@@ -83,6 +85,7 @@ from dataclasses import dataclass, field
 from ..core.errors import PulseError
 from ..engine.metrics import get_counter
 from ..engine.sharding import KeyOrdinals, shard_of, tuple_key
+from ..engine.tuples import ColumnBatch
 from . import protocol
 from .client import PulseClient, ServerError
 
@@ -139,9 +142,10 @@ class _WorkerLink:
         #: Tuples ever routed here; mirrors the worker's durable
         #: ``ingest_tuples`` offset once everything in flight is acked.
         self.sent = 0
-        #: ``(offset, stream, tuple)`` sent but not yet acked — at most
-        #: one run, thanks to the one-in-flight discipline.
-        self.unacked: deque[tuple[int, str, dict]] = deque()
+        #: ``(offset of its first row, stream, run)`` sent but not yet
+        #: acked — at most one run, thanks to the one-in-flight
+        #: discipline.
+        self.unacked: deque[tuple[int, str, ColumnBatch]] = deque()
         #: worker-side subscription id -> router subscription id.
         self.sub_map: dict[int, int] = {}
         self.dead = False
@@ -493,29 +497,27 @@ class PulseRouter:
                 wsub, from_cursor=sub.collected[worker.index]
             )
             self._merge_worker_pushes(worker)
-        # 4. Retransmit what the WAL never saw; older unacked tuples
-        #    are already in worker state (their outputs came via the
-        #    attach replay) and must NOT be re-ingested.
-        resend = [entry for entry in worker.unacked if entry[0] >= durable]
-        recovered = len(worker.unacked) - len(resend)
-        worker.unacked.clear()
+        # 4. Retransmit what the WAL never saw; older unacked rows are
+        #    already in worker state (their outputs came via the attach
+        #    replay) and must NOT be re-ingested.
         counts = {name: 0 for name in _COUNT_FIELDS}
-        counts["accepted"] = recovered  # durable => admitted pre-crash
-        start = 0
-        while start < len(resend):
-            stream = resend[start][1]
-            stop = start
-            while stop < len(resend) and resend[stop][1] == stream:
-                stop += 1
-            batch = [dict(entry[2]) for entry in resend[start:stop]]
-            ack = worker.client.ingest(stream, batch)
+        recovered = resent = 0
+        for base, stream, run in worker.unacked:
+            skip = min(len(run), max(0, durable - base))
+            recovered += skip
+            if skip == len(run):
+                continue
+            tail = run.take(range(skip, len(run)))
+            resent += len(tail)
+            ack = worker.client.ingest_columns(stream, tail)
             self._merge_worker_pushes(worker)
             for name in _COUNT_FIELDS:
                 counts[name] += ack.get(name, 0)
-            start = stop
+        worker.unacked.clear()
+        counts["accepted"] += recovered  # durable => admitted pre-crash
         worker.dead = False
         counts["recovered_durable"] = recovered
-        counts["retransmitted"] = len(resend)
+        counts["retransmitted"] = resent
         return counts
 
     # ------------------------------------------------------------------
@@ -527,36 +529,25 @@ class PulseRouter:
             raise protocol.ProtocolError(
                 "'stream' must be a non-empty string"
             )
-        raw_tuples = obj.get("tuples")
-        if not isinstance(raw_tuples, list):
-            raise protocol.ProtocolError("'tuples' must be a list")
-        valid = []
-        rejected = 0
-        rejected_nonfinite = 0
-        for raw in raw_tuples:
-            try:
-                valid.append(protocol.validate_tuple(raw))
-            except protocol.ProtocolError as exc:
-                rejected += 1
-                if exc.code == "nonfinite":
-                    rejected_nonfinite += 1
+        batch, rejected = protocol.validate_ingest(obj)
         key_fields = self._stream_keys.get(
             stream, self.config.default_key_fields
         )
         num_workers = len(self._workers)
-        # Maximal spans of consecutive same-worker tuples: each run is
+        # Maximal spans of consecutive same-worker rows: each run is
         # one worker request, and run order is global arrival order.
-        runs: list[tuple[int, list[dict]]] = []
-        for tup in valid:
-            key = tuple_key(tup, key_fields)
+        # A missing key field is a None slot (see ``tuple_key``).
+        spans: list[tuple[int, list[int]]] = []
+        for i, key in enumerate(batch.zipped(key_fields)):
             self._key_ordinals.observe(key)
             self._flush_ordinals.observe(key)
             target = shard_of(key, num_workers)
-            if runs and runs[-1][0] == target:
-                runs[-1][1].append(dict(tup))
+            if spans and spans[-1][0] == target:
+                spans[-1][1].append(i)
             else:
-                runs.append((target, [dict(tup)]))
-        self._routed_counter.bump(len(valid))
+                spans.append((target, [i]))
+        runs = [(target, batch.take(rows)) for target, rows in spans]
+        self._routed_counter.bump(len(batch))
         totals = {name: 0 for name in _COUNT_FIELDS}
         for ack in self._run_fanout(stream, runs):
             for name in _COUNT_FIELDS:
@@ -564,20 +555,19 @@ class PulseRouter:
         return {
             "type": "ack",
             "stream": stream,
-            "rejected": rejected,
-            "rejected_nonfinite": rejected_nonfinite,
+            **protocol.rejection_fields(rejected),
             "runs": len(runs),
             **totals,
         }
 
     def _run_fanout(
-        self, stream: str, runs: list[tuple[int, list[dict]]]
+        self, stream: str, runs: list[tuple[int, ColumnBatch]]
     ) -> list[dict]:
         """Send runs with at most one in flight per worker; collect
         acks (and merge pushes) in global run order."""
         num_workers = len(self._workers)
         per_worker: list[list[int]] = [[] for _ in range(num_workers)]
-        for index, (target, _tuples) in enumerate(runs):
+        for index, (target, _run) in enumerate(runs):
             per_worker[target].append(index)
         next_run = [0] * num_workers  # per-worker send pointer
         inflight: list[int | None] = [None] * num_workers
@@ -591,21 +581,19 @@ class PulseRouter:
                 return
             run_index = per_worker[windex][next_run[windex]]
             next_run[windex] += 1
-            tuples = runs[run_index][1]
-            base = worker.sent
+            run = runs[run_index][1]
             # Sent-accounting happens whether or not the bytes make it:
             # a send that errors mid-way may still have delivered the
             # full request, so recovery must treat it as in flight.
-            worker.unacked.extend(
-                (base + i, stream, tup) for i, tup in enumerate(tuples)
-            )
-            worker.sent += len(tuples)
+            worker.unacked.append((worker.sent, stream, run))
+            worker.sent += len(run)
             if worker.dead:
                 req_ids[run_index] = None  # retransmitted at merge time
             else:
                 try:
                     req_ids[run_index] = worker.client.send_request(
-                        "ingest", stream=stream, tuples=tuples
+                        "ingest", stream=stream,
+                        columns=protocol.pack_columns(run.columns),
                     )
                 except OSError:
                     worker.dead = True
@@ -616,7 +604,7 @@ class PulseRouter:
             pump(worker)
 
         acks: list[dict] = []
-        for run_index, (target, tuples) in enumerate(runs):
+        for run_index, (target, _run) in enumerate(runs):
             worker = self._workers[target]
             assert inflight[target] == run_index, "run collection order"
             req_id = req_ids.pop(run_index)
@@ -624,8 +612,7 @@ class PulseRouter:
             if not worker.dead and req_id is not None:
                 try:
                     ack = worker.client.read_reply(req_id)
-                    for _ in tuples:
-                        worker.unacked.popleft()
+                    worker.unacked.popleft()
                 except (OSError, ServerError) as exc:
                     if isinstance(exc, ServerError) and exc.code != "eof":
                         raise  # a typed refusal, not a dead worker
@@ -902,7 +889,7 @@ class PulseRouter:
                 "worker": worker.index,
                 "addr": f"{worker.addr[0]}:{worker.addr[1]}",
                 "sent": worker.sent,
-                "unacked": len(worker.unacked),
+                "unacked": sum(len(run) for _, _, run in worker.unacked),
                 "dead": worker.dead,
                 "recoveries": worker.recoveries,
             }

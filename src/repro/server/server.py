@@ -18,7 +18,7 @@ This mirrors the runtime's ``shed-oldest`` queue policy on the egress
 side.
 
 :class:`ServerThread` runs a server on a dedicated thread with its own
-event loop — the harness the loopback tests, the throughput benchmark
+event loop — the harness the loopback tests, the traced benchmark pass
 and ``repro serve`` (indirectly) all share.
 """
 
@@ -496,39 +496,23 @@ class PulseServer:
         stream = obj.get("stream")
         if not isinstance(stream, str) or not stream:
             raise protocol.ProtocolError("'stream' must be a non-empty string")
-        raw_tuples = obj.get("tuples")
-        if not isinstance(raw_tuples, list):
-            raise protocol.ProtocolError("'tuples' must be a list")
-        valid = []
-        rejected = 0
-        rejected_nonfinite = 0
-        for raw in raw_tuples:
-            try:
-                valid.append(protocol.validate_tuple(raw))
-            except protocol.ProtocolError as exc:
-                rejected += 1
-                if exc.code == "nonfinite":
-                    rejected_nonfinite += 1
-                    self._rejected_nonfinite.bump()
-                else:
-                    self._rejected_malformed.bump()
-        conn.rejected += rejected
+        batch, rejected = protocol.validate_ingest(obj)
+        rejection = protocol.rejection_fields(rejected)
+        if rejected:
+            nonfinite = rejection["rejected_nonfinite"]
+            self._rejected_nonfinite.bump(nonfinite)
+            self._rejected_malformed.bump(len(rejected) - nonfinite)
+            conn.rejected += len(rejected)
         counts = {"accepted": 0, "blocked": 0, "shed": 0,
                   "no_consumer": 0, "fit_rejected": 0}
-        if valid:
+        if len(batch):
             counts = await asyncio.wrap_future(
                 self.bridge.ingest(
-                    conn.session_id, stream, valid, conn.backpressure
+                    conn.session_id, stream, batch, conn.backpressure
                 )
             )
         conn.ingested += counts["accepted"]
-        return {
-            "type": "ack",
-            "stream": stream,
-            "rejected": rejected,
-            "rejected_nonfinite": rejected_nonfinite,
-            **counts,
-        }
+        return {"type": "ack", "stream": stream, **rejection, **counts}
 
     async def _op_flush(self, conn: _Connection, obj: dict) -> dict:
         result = await asyncio.wrap_future(self.bridge.flush())

@@ -76,7 +76,7 @@ def read_trace(
     additionally counted in ``replay.nonfinite_rows``) by default,
     :class:`TraceError` under ``strict=True``.  The network ingest path
     applies the same finite-check in
-    :func:`repro.server.protocol.validate_tuple`.
+    :func:`repro.server.protocol.validate_columns`.
     """
     path = Path(path)
     skipped = get_counter("replay.skipped_rows")

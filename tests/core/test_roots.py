@@ -146,6 +146,22 @@ class TestSolveRelation:
         assert sol.intervals == ()
         assert sol.points == (pytest.approx(2.0),)
 
+    @pytest.mark.parametrize("sign, rel", [(1.0, Rel.LE), (-1.0, Rel.GE)])
+    def test_touching_root_at_domain_start_kept(self, sign, rel):
+        # t^2 <= 0 (and -t^2 >= 0) on [0, 1) holds only at t = 0, the
+        # domain's closed end: the same point t^2 = 0 gives.
+        p = Polynomial([0.0, 0.0, sign])
+        sol = kernel_solve_relation(p, rel, 0.0, 1.0)
+        eq = kernel_solve_relation(p, Rel.EQ, 0.0, 1.0)
+        assert sol.intervals == ()
+        assert sol.points == eq.points == (0.0,)
+
+    @pytest.mark.parametrize("rel", [Rel.LE, Rel.EQ])
+    def test_touching_root_at_domain_end_excluded(self, rel):
+        # (t-1)^2 <= 0 on [0, 1): the root is the open end, outside.
+        sol = kernel_solve_relation(Polynomial([1.0, -2.0, 1.0]), rel, 0.0, 1.0)
+        assert sol.is_empty
+
     def test_lt_strict_empty_at_touching_point(self):
         sol = kernel_solve_relation(Polynomial([4.0, -4.0, 1.0]), Rel.LT, 0.0, 10.0)
         assert sol.is_empty

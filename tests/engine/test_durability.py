@@ -34,7 +34,7 @@ from repro.engine.durability import (
 )
 from repro.engine.metrics import get_counter, reset_counters
 from repro.engine.scheduler import QueryRuntime
-from repro.engine.tuples import StreamTuple
+from repro.engine.tuples import ColumnBatch, StreamTuple
 from repro.engine.wal import (
     FILE_HEADER,
     FRAME_MAGIC,
@@ -660,7 +660,7 @@ def _feed(bridge, shape, lo, hi):
     """Ingest batches ``lo..hi-1`` of ``shape``'s trace."""
     for b in range(lo, hi):
         rows = shape.tuples[b * shape.batch : (b + 1) * shape.batch]
-        bridge.ingest(None, shape.stream, rows).result()
+        bridge.ingest(None, shape.stream, ColumnBatch.from_rows(rows)).result()
 
 
 def _crash(bridge):
@@ -973,6 +973,67 @@ class TestRuntimeRecovery:
             reborn.start()
         reborn.stop()
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_row_form_wal_of_protocol_v1_recovers_bit_exact(self, tmp_path):
+        """A WAL written before ingest went columnar logs each ingest
+        batch as a list of row tuples.  Restarted on such a directory
+        (snapshot plus row-form tail), the engine migrates each record
+        on replay, and its remaining outputs equal both a never-died
+        engine's and a column-form WAL's recovery, bit for bit."""
+        shape = macd_shape()
+        checkpoint_at, crash_at = 6, 12
+        batches = -(-len(shape.tuples) // shape.batch)
+        subs = range(1, len(shape.queries) + 1)
+
+        ref_out = _Deliveries()
+        ref = _serve(shape, on_outputs=ref_out)
+        _feed(ref, shape, 0, crash_at)
+        at_crash = {s: len(ref_out.outputs[s]) for s in subs}
+        _feed(ref, shape, crash_at, batches)
+        ref.flush().result()
+        ref.stop()
+
+        columns_dir = tmp_path / "columns"
+        victim = _serve(shape, columns_dir)
+        _feed(victim, shape, 0, checkpoint_at)
+        victim.checkpoint().result()
+        _feed(victim, shape, checkpoint_at, crash_at)
+        _crash(victim)
+
+        # The same directory as a version-1 server left it: the snapshot
+        # (its layout did not change) and the log, ingest rows in rows.
+        rows_dir = tmp_path / "rows"
+        rows_dir.mkdir()
+        for name in snap_files(columns_dir):
+            (rows_dir / name).write_bytes((columns_dir / name).read_bytes())
+        records = list(read_wal(columns_dir))
+        wal = WriteAheadLog(rows_dir, fsync_every=1,
+                            start_seq=records[0][0] - 1)
+        row_form = 0
+        for _, record in records:
+            if record[0] == "ingest":
+                kind, stream, columns, policy = record
+                rows = ColumnBatch(columns).rows()
+                assert all(type(r) is StreamTuple for r in rows)
+                record = (kind, stream, rows, policy)
+                row_form += 1
+            wal.append(record)
+        wal.close()
+        assert row_form == crash_at - checkpoint_at
+
+        for wal_dir in (columns_dir, rows_dir):
+            got = _Deliveries()
+            reborn = _serve(shape, wal_dir, on_outputs=got, setup=False)
+            assert reborn.recovery_report["replayed"] == row_form
+            assert reborn.ingest_tuples == crash_at * shape.batch
+            _feed(reborn, shape, crash_at, batches)
+            reborn.flush().result()
+            reborn.stop()
+            for s in subs:
+                assert canon(got.outputs[s]) == canon(
+                    ref_out.outputs[s][at_crash[s]:]
+                )
+                assert got.first[s] == at_crash[s]
 
     def test_restore_from_genesis_replays_everything(self, tmp_path):
         shape = filter_shape()

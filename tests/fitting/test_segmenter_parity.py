@@ -124,8 +124,9 @@ def test_shared_cuts_match_polynomial_reference(case, data):
             st.sampled_from((0.0, 0.5, -1.0)), min_size=width, max_size=width
         )
     )
+    # one value per attribute, aligned with ``attrs``
     rows = [
-        (t, {a: y * (i + 1) + off for i, (a, off) in enumerate(zip(attrs, offsets))})
+        (t, [y * (i + 1) + off for i, off in enumerate(offsets)])
         for t, y in points
     ]
 

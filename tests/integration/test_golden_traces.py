@@ -148,7 +148,7 @@ def run_multisub_scenario(trace_path):
     """
     import contextlib
 
-    from repro.engine.tuples import StreamTuple
+    from repro.engine.tuples import ColumnBatch, StreamTuple
     from repro.server.bridge import EngineBridge, FitSpec
 
     reset_counters()
@@ -174,7 +174,9 @@ def run_multisub_scenario(trace_path):
             bridge.subscribe(1, "q", "continuous", 0.2).result()
             bridge.subscribe(2, "q", "continuous", 0.05).result()
             for i in range(0, len(tuples), 4):
-                bridge.ingest(None, "ticks", tuples[i : i + 4]).result()
+                bridge.ingest(
+                    None, "ticks", ColumnBatch.from_rows(tuples[i : i + 4])
+                ).result()
             bridge.flush().result()
         finally:
             bridge.stop()

@@ -19,7 +19,10 @@ tests and tools — none of them is reachable from ``src/``:
   runs (what ``ContinuousPlan._cascade`` did before runs);
 * **per-point polynomial line** — the online segmenter building and
   shifting a :class:`Polynomial` for every point to test its residual
-  (what ``OnlineSegmenter`` did before it tested in floats).
+  (what ``OnlineSegmenter`` did before it tested in floats);
+* **row validator** — :func:`validate_tuple`, the ingest boundary as
+  one check per row object (what the server ran before ingest went
+  columnar); the column validator must give each row its verdict.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from repro.core.piecewise import Piece
 from repro.core.plan import ContinuousPlan
 from repro.core.polynomial import Polynomial
 from repro.core.segment import Key, Segment, apply_update_semantics
+from repro.engine.tuples import StreamTuple
 from repro.fitting import SegmentFit, model_builder
+from repro.server.protocol import ProtocolError
 
 
 # ----------------------------------------------------------------------
@@ -415,18 +420,18 @@ class PolynomialMultiSegmenter(model_builder.MultiAttributeSegmenter):
         self._count += 1
         closed: dict[str, SegmentFit] = {}
         cut = False
-        for attr in self.attrs:
-            fit = self._segmenters[attr].add(t, float(values[attr]))
+        for attr, value in zip(self.attrs, values):
+            fit = self._segmenters[attr].add(t, float(value))
             if fit is not None:
                 closed[attr] = fit
                 cut = True
         if not cut:
             return None
-        for attr in self.attrs:
+        for attr, value in zip(self.attrs, values):
             if attr not in closed:
                 seg = self._segmenters[attr]
                 fit = seg.finish()
-                seg.add(t, float(values[attr]))
+                seg.add(t, float(value))
                 if fit is not None:
                     closed[attr] = fit
         self._start = t
@@ -443,3 +448,55 @@ def polynomial_line_fitting() -> Iterator[None]:
         yield
     finally:
         model_builder.MultiAttributeSegmenter = real
+
+
+# ----------------------------------------------------------------------
+# row validator
+# ----------------------------------------------------------------------
+#: JSON scalar types admissible as tuple attribute values.
+_SCALARS = (bool, int, float, str)
+
+
+def validate_tuple(obj: object) -> StreamTuple:
+    """Validate one ingested row object; returns it as a
+    :class:`StreamTuple` with its ``None`` fields dropped (``null``
+    means absent).
+
+    * the row is a flat JSON object (no nested containers);
+    * it carries a numeric, finite ``time`` field;
+    * every numeric value is finite.
+
+    A row with a malformed field and a non-finite one is malformed,
+    whatever the fields' order.  Raises :class:`ProtocolError` (code
+    ``nonfinite`` for a non-finite value, ``protocol`` otherwise).
+    """
+    if not isinstance(obj, dict):
+        raise ProtocolError(
+            f"tuple must be a JSON object, got {type(obj).__name__}"
+        )
+    time_value = obj.get(StreamTuple.TIME_FIELD)
+    if isinstance(time_value, bool) or not isinstance(
+        time_value, (int, float)
+    ):
+        raise ProtocolError("tuple has no numeric 'time' field")
+    nonfinite = None
+    for field, value in obj.items():
+        if value is not None and not isinstance(value, _SCALARS):
+            raise ProtocolError(
+                f"field {field!r} must be a JSON scalar, got "
+                f"{type(value).__name__}"
+            )
+        if (
+            nonfinite is None
+            and isinstance(value, float)
+            and not math.isfinite(value)
+        ):
+            nonfinite = ProtocolError(
+                f"non-finite value {value!r} in field {field!r}",
+                code="nonfinite",
+            )
+    if nonfinite is not None:
+        raise nonfinite
+    return StreamTuple(
+        (field, value) for field, value in obj.items() if value is not None
+    )

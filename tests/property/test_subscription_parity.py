@@ -39,7 +39,7 @@ from repro.core.transform import to_continuous_plan
 from repro.engine.metrics import reset_counters
 from repro.engine.resilience import BreakerConfig
 from repro.engine.scheduler import QueryRuntime
-from repro.engine.tuples import StreamTuple
+from repro.engine.tuples import ColumnBatch, StreamTuple
 from repro.fitting.model_builder import StreamModelBuilder
 from repro.query import parse_query, plan_query
 from repro.server.bridge import EngineBridge, FitSpec
@@ -150,7 +150,7 @@ def run_shared(events):
                 bridge.flush().result()
             else:
                 bridge.ingest(
-                    None, STREAM, [StreamTuple(d) for d in ev[1]]
+                    None, STREAM, ColumnBatch.from_rows(ev[1])
                 ).result()
     finally:
         bridge.stop()

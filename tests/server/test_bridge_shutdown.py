@@ -8,6 +8,7 @@ engine thread it was waiting on quietly exited.
 
 import pytest
 
+from repro.engine.tuples import ColumnBatch
 from repro.server.bridge import BridgeClosed, EngineBridge, FitSpec
 from repro.server.client import PulseClient, ServerError
 from repro.server.server import ServerConfig, ServerThread
@@ -32,7 +33,7 @@ class TestGracefulShutdown:
         bridge.register_query("q", QUERY, FIT)
         bridge.subscribe(1, "q", "continuous", 0.05)
         futures = [
-            bridge.ingest(None, "ticks", tuples(4))
+            bridge.ingest(None, "ticks", ColumnBatch.from_rows(tuples(4)))
             for _ in range(5)
         ]
         bridge.stop()
@@ -45,7 +46,7 @@ class TestGracefulShutdown:
         bridge = EngineBridge()
         bridge.start()
         bridge.stop()
-        future = bridge.ingest(None, "ticks", tuples(1))
+        future = bridge.ingest(None, "ticks", ColumnBatch.from_rows(tuples(1)))
         with pytest.raises(BridgeClosed):
             future.result(timeout=0)
 
@@ -76,7 +77,9 @@ class TestGracefulShutdown:
         bridge = EngineBridge(wal_dir=wal, fsync_every=1)
         bridge.start()
         bridge.register_query("q", QUERY, FIT)
-        bridge.ingest(None, "ticks", tuples(6)).result(timeout=10)
+        bridge.ingest(
+            None, "ticks", ColumnBatch.from_rows(tuples(6))
+        ).result(timeout=10)
         bridge.stop()
 
         reborn = EngineBridge(wal_dir=wal, fsync_every=1)

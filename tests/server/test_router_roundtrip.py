@@ -213,16 +213,24 @@ class TestMergedParity:
             client.register("q", QUERY, fit=FIT)
             client.subscribe("q", mode="discrete")
             line = (
-                b'{"op":"ingest","id":99,"stream":"objects","tuples":['
-                b'{"time":0.0,"id":"a","x":1.0,"y":0.0},'
-                b'{"time":Infinity,"id":"a","x":1.0,"y":0.0},'
-                b'{"id":"b","x":1.0,"y":0.0}]}\n'
+                b'{"op":"ingest","id":99,"stream":"objects","columns":{'
+                b'"time":[0.0,Infinity,null],"id":["a","a","b"],'
+                b'"x":[1.0,1.0,1.0],"y":[0.0,0.0,0.0]}}\n'
             )
             client._sock.sendall(line)
             ack = client.read_reply(99)
             assert ack["accepted"] == 1
             assert ack["rejected"] == 2
             assert ack["rejected_nonfinite"] == 1
+            assert ack["first_rejected"]["row"] == 1
+            # the row form is refused at the router as at a server
+            client._sock.sendall(
+                b'{"op":"ingest","id":100,"stream":"objects",'
+                b'"tuples":[{"time":0.0,"x":1.0}]}\n'
+            )
+            with pytest.raises(ServerError, match="version 2") as info:
+                client.read_reply(100)
+            assert info.value.code == "protocol"
 
 
 class TestSubscriptionLifecycle:

@@ -11,9 +11,12 @@ here sleeps or polls — the flush-ack ordering guarantee (results are
 written before the ack that produced them) makes drains deterministic.
 """
 
+import base64
 import json
+import math
 import random
 import socket
+import struct
 
 import pytest
 
@@ -141,7 +144,7 @@ PAPER_SHAPES = {
 class TestHandshake:
     def test_hello_reports_queries_and_streams(self, client):
         assert client.hello["server"] == "pulse-repro"
-        assert client.hello["protocol"] == 1
+        assert client.hello["protocol"] == 2
         assert "q" in client.hello["queries"]
         assert STREAM in client.hello["streams"]
 
@@ -271,46 +274,131 @@ class TestContinuousParity:
             assert info.value.code == "plan"
 
 
+def _raw_request(server, line: bytes) -> dict:
+    """Send one raw wire line on a fresh connection; return the reply."""
+    raw = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+    try:
+        f = raw.makefile("rb")
+        raw.sendall(line)
+        return json.loads(f.readline())
+    finally:
+        raw.close()
+
+
+def _f64(values) -> str:
+    """A packed column's base64 payload (little-endian float64)."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+
+
 class TestIngestBoundary:
     def test_nonfinite_wire_literal_rejected_and_counted(self, server):
         """NaN over the wire: json.loads admits it, the server rejects
         it per-tuple, counts it, and the engine never sees it."""
         counter = get_counter("server.rejected_nonfinite")
         before = counter.value
-        raw = socket.create_connection(
-            ("127.0.0.1", server.port), timeout=10
+        ack = _raw_request(
+            server,
+            b'{"op":"ingest","id":1,"stream":"objects","columns":{'
+            b'"time":[0.0,0.1,0.2,0.3],"id":["a","a","a","a"],'
+            b'"x":[NaN,Infinity,-Infinity,1.0],"y":[1.0,1.0,1.0,1.0]}}\n',
         )
-        try:
-            f = raw.makefile("rb")
-            raw.sendall(
-                b'{"op":"ingest","id":1,"stream":"objects","tuples":'
-                b'[{"time":0.0,"id":"a","x":NaN,"y":1.0},'
-                b'{"time":0.1,"id":"a","x":Infinity,"y":1.0},'
-                b'{"time":0.2,"id":"a","x":-Infinity,"y":1.0},'
-                b'{"time":0.3,"id":"a","x":1.0,"y":1.0}]}\n'
-            )
-            ack = json.loads(f.readline())
-        finally:
-            raw.close()
         assert ack["type"] == "ack"
         assert ack["rejected"] == 3
         assert ack["rejected_nonfinite"] == 3
+        assert ack["first_rejected"]["row"] == 0
+        assert ack["first_rejected"]["code"] == "nonfinite"
         # the one finite tuple passes the boundary (whether a consumer
         # graph is live at this point is another test's business)
         assert ack["accepted"] + ack["no_consumer"] == 1
         assert counter.value == before + 3
 
+    def test_nonfinite_packed_bits_rejected_and_counted(self, server):
+        """The same three values as packed float64 bits: one finite
+        check over the column rejects exactly those rows."""
+        counter = get_counter("server.rejected_nonfinite")
+        before = counter.value
+        columns = {
+            "time": {"f64": _f64([0.0, 0.1, 0.2, 0.3])},
+            "id": ["a", "a", "a", "a"],
+            "x": {"f64": _f64([1.0, math.nan, math.inf, -math.inf])},
+            "y": {"f64": _f64([1.0, 1.0, 1.0, 1.0])},
+        }
+        line = json.dumps({
+            "op": "ingest", "id": 1, "stream": STREAM, "columns": columns,
+        }).encode() + b"\n"
+        ack = _raw_request(server, line)
+        assert ack["rejected"] == 3
+        assert ack["rejected_nonfinite"] == 3
+        assert ack["first_rejected"]["row"] == 1
+        assert ack["accepted"] + ack["no_consumer"] == 1
+        assert counter.value == before + 3
+
     def test_malformed_tuples_rejected_not_fatal(self, client):
+        malformed = get_counter("server.rejected_malformed")
+        before = malformed.value
         ack = client.ingest(
             STREAM,
             [
                 {"time": 0.0, "x": 1.0, "y": 1.0, "id": "a"},
-                {"x": 1.0},  # no time
+                {"x": 1.0},  # no time: a null in the time column
             ],
         )
         assert ack["rejected"] == 1
+        assert ack["rejected_nonfinite"] == 0
+        assert ack["first_rejected"]["row"] == 1
+        assert malformed.value == before + 1
         # the session is still alive
         assert client.stats()["type"] == "stats"
+
+    @pytest.mark.parametrize("time_value, value", [
+        (True, 1.0),  # a boolean is not a time
+        (0.0, {"nested": 1}),
+        (0.0, [1.0]),
+    ])
+    def test_malformed_values_rejected(self, client, time_value, value):
+        ack = client.ingest(
+            STREAM,
+            [
+                {"time": time_value, "id": "a", "x": value, "y": 0.0},
+                {"time": 1.0, "id": "a", "x": 1.0, "y": 0.0},
+            ],
+        )
+        assert ack["rejected"] == 1
+        assert ack["rejected_nonfinite"] == 0
+        assert ack["first_rejected"] == {
+            "row": 0, "code": "protocol",
+            "error": ack["first_rejected"]["error"],
+        }
+        assert ack["accepted"] + ack["no_consumer"] == 1
+
+    @pytest.mark.parametrize("columns, names", [
+        ({"time": [0.0, 1.0], "x": [1.0]}, "'x'"),
+        ({"time": {"f64": "not base64!"}}, "'time'"),
+        ({"time": {"f64": base64.b64encode(b"1234567").decode()}}, "'time'"),
+        ({"x": [1.0]}, "'time'"),
+        ({"time": 0.0}, "'time'"),
+    ], ids=["ragged", "bad-base64", "length-not-8k", "no-time", "not-a-column"])
+    def test_batch_faults_are_one_typed_error(self, server, columns, names):
+        """A fault of the batch itself refuses the whole request with a
+        typed error naming the column; the session survives it."""
+        line = json.dumps({
+            "op": "ingest", "id": 4, "stream": STREAM, "columns": columns,
+        }).encode() + b"\n"
+        reply = _raw_request(server, line)
+        assert reply["type"] == "error"
+        assert reply["code"] == "protocol"
+        assert reply["id"] == 4
+        assert names in reply["error"]
+
+    def test_row_form_request_is_a_typed_error(self, server):
+        reply = _raw_request(
+            server,
+            b'{"op":"ingest","id":2,"stream":"objects",'
+            b'"tuples":[{"time":0.0,"x":1.0}]}\n',
+        )
+        assert reply["type"] == "error"
+        assert reply["code"] == "protocol"
+        assert "version 2" in reply["error"]
 
     def test_unknown_stream_counts_no_consumer(self, client):
         ack = client.ingest("nowhere", [{"time": 0.0, "x": 1.0}])
@@ -330,6 +418,21 @@ class TestIngestBoundary:
             # counted once per continuous consumer instance of the
             # stream, and at least by the one this test registered
             assert ack["fit_rejected"] >= 1
+
+    def test_null_key_field_counts_fit_rejected(self, server):
+        """``null`` means absent: a row whose key field is null passes
+        the wire boundary but cannot be fitted under a key."""
+        with PulseClient("127.0.0.1", server.port) as c:
+            c.connect()
+            c.register("qk", QUERY, fit=FIT)
+            c.subscribe("qk", mode="continuous", error_bound=0.5)
+            ack = c.ingest(STREAM, [
+                {"time": 0.0, "id": None, "x": 1.0, "y": 1.0},
+                {"time": 0.1, "id": "a", "x": 1.0, "y": 1.0},
+            ])
+            assert ack["rejected"] == 0
+            assert ack["fit_rejected"] >= 1
+            assert ack["accepted"] == 2
 
 
 class TestErrors:

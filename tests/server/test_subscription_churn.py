@@ -22,7 +22,7 @@ import gc
 from repro.core.delta import LruMemo
 from repro.engine.metrics import get_counter, get_gauge
 from repro.engine.scheduler import _Registration
-from repro.engine.tuples import StreamTuple
+from repro.engine.tuples import ColumnBatch, StreamTuple
 from repro.fitting.model_builder import StreamModelBuilder
 from repro.server.bridge import EngineBridge, FitSpec, _SharedGraph
 
@@ -69,7 +69,9 @@ def test_churn_soak_leaves_zero_residue():
                 for j in range(4)
             ]
             t += 1.0
-            ack = bridge.ingest(None, STREAM, batch).result()
+            ack = bridge.ingest(
+                None, STREAM, ColumnBatch.from_rows(batch)
+            ).result()
             assert ack["accepted"] == 4
             if i % 100 == 0:
                 bridge.flush().result()
@@ -106,7 +108,9 @@ def test_discrete_churn_also_tears_down():
             ack = bridge.ingest(
                 None,
                 STREAM,
-                [StreamTuple({"time": float(i), "id": "k", "x": 1.0})],
+                ColumnBatch.from_rows(
+                    [StreamTuple({"time": float(i), "id": "k", "x": 1.0})]
+                ),
             ).result()
             assert ack["accepted"] == 1
             bridge.unsubscribe(i + 1).result()
